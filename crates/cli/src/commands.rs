@@ -17,10 +17,6 @@ use powerchop_workloads::{Benchmark, Scale, Suite};
 use crate::args::{Command, ManagerArg, RunOpts, USAGE};
 use crate::CliError;
 
-/// Dispatch-loop iterations per [`Simulation::step_chunk`] call when a
-/// command steps a run incrementally (checkpointing, supervision).
-pub(crate) const STEP_CHUNK: u64 = 65_536;
-
 /// Executes a parsed command.
 ///
 /// # Errors
@@ -533,15 +529,6 @@ pub(crate) fn prepare_run(
     })
 }
 
-/// Writes `bytes` to `path` atomically (temp file + rename), so a crash
-/// mid-write can never leave a half-written snapshot under the real name.
-pub(crate) fn write_atomic(path: &std::path::Path, bytes: &[u8]) -> Result<(), CliError> {
-    let tmp = path.with_extension("ckpt.tmp");
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path)?;
-    Ok(())
-}
-
 fn checkpoint_cmd(bench: &str, at: u64, out: Option<&str>, opts: RunOpts) -> Result<(), CliError> {
     let pr = prepare_run(
         bench,
@@ -553,12 +540,12 @@ fn checkpoint_cmd(bench: &str, at: u64, out: Option<&str>, opts: RunOpts) -> Res
     )?;
     let mut sim = Simulation::new(&pr.program, pr.kind, &pr.cfg)?;
     while !sim.is_done() && sim.retired() < at {
-        sim.step_chunk(STEP_CHUNK)?;
+        sim.step_chunk(powerchop::STEP_CHUNK)?;
     }
     let bytes = sim.snapshot(&pr.meta);
     let default_name = format!("{bench}.ckpt");
     let path = std::path::Path::new(out.unwrap_or(&default_name));
-    write_atomic(path, &bytes)?;
+    powerchop_durable::write_atomic(path, &bytes)?;
     println!(
         "wrote {} ({} bytes) at {} retired instructions{}",
         path.display(),
@@ -780,7 +767,6 @@ fn stress(bench: Option<&str>, opts: &RunOpts) -> Result<(), CliError> {
 }
 
 fn profile_bench(bench: &str, opts: &RunOpts) -> Result<(), CliError> {
-    use powerchop_gisa::InstClass;
     let b = benchmark(bench)?;
     let program = b.program(Scale(opts.scale));
     let prof = powerchop_workloads::stats::profile(&program, opts.budget)?;
@@ -805,7 +791,6 @@ fn profile_bench(bench: &str, opts: &RunOpts) -> Result<(), CliError> {
             100.0 * *n as f64 / prof.instructions as f64
         );
     }
-    let _ = InstClass::IntAlu; // anchor the import
     Ok(())
 }
 

@@ -1,8 +1,8 @@
 //! The supervised batch runner: a crash-safe work queue for benchmark
 //! sweeps.
 //!
-//! Each benchmark run gets a wall-clock deadline (enforced by a watchdog
-//! thread that cancels the run cooperatively), panic isolation via
+//! Each benchmark run gets a wall-clock deadline (checked by
+//! [`Simulation::drive`] before every step chunk), panic isolation via
 //! `catch_unwind`, retries with exponential backoff up to a capped
 //! attempt count, and periodic crash-safe checkpoints. Progress is
 //! journaled to an append-only file, so killing the sweep at any point —
@@ -11,12 +11,13 @@
 //! resumes from its last checkpoint instead of starting over.
 //!
 //! The sweep fans out over `--jobs` slots on the `powerchop-exec` pool.
-//! Each slot owns its benchmark end-to-end: its watchdog is spawned at
-//! that run's own start (a slot never inherits wall-clock time another
-//! slot has already burned), journal appends are mutex-serialized around
-//! the fsync, and console output is buffered per run so slots don't
-//! interleave lines. The final summary folds rows in benchmark order, so
-//! it is identical at every thread count.
+//! Each slot owns its benchmark end-to-end on its one pool thread: an
+//! attempt's deadline is counted from that attempt's own start (a slot
+//! never inherits wall-clock time another slot has already burned),
+//! journal appends are mutex-serialized around the fsync, and console
+//! output is buffered per run so slots don't interleave lines. The final
+//! summary folds rows in benchmark order, so it is identical at every
+//! thread count.
 //!
 //! See `DESIGN.md` for the supervisor state machine.
 
@@ -25,17 +26,15 @@ use std::fmt::Write as _;
 use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use powerchop::{RunReport, Simulation};
+use powerchop::{Driven, RunReport, Simulation};
+use powerchop_durable::write_atomic;
 use powerchop_telemetry::Tracer;
 
 use crate::args::{RunOpts, SuperviseOpts};
-use crate::commands::{
-    per_bench_path, prepare_run, tracer_for, write_atomic, write_telemetry, PreparedRun, STEP_CHUNK,
-};
+use crate::commands::{per_bench_path, prepare_run, tracer_for, write_telemetry, PreparedRun};
 use crate::CliError;
 
 /// The journal file name inside the supervisor state directory.
@@ -160,15 +159,15 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Runs one attempt of one benchmark: resume from the checkpoint when a
-/// usable one exists, step in chunks, checkpoint periodically, and bail
-/// out (persisting progress) when the watchdog raises `cancel`. Returns
-/// the outcome plus whether the attempt resumed from a checkpoint.
+/// usable one exists, drive it with periodic checkpoints, and bail out
+/// (persisting progress) once `deadline` passes. Returns the outcome
+/// plus whether the attempt resumed from a checkpoint.
 fn run_attempt(
     pr: &PreparedRun,
     opts: &RunOpts,
     ckpt_path: &Path,
     checkpoint_every: u64,
-    cancel: &AtomicBool,
+    deadline: Instant,
 ) -> (AttemptOutcome, bool) {
     let mut resumed = false;
     let result = catch_unwind(AssertUnwindSafe(|| -> Result<AttemptOutcome, CliError> {
@@ -195,19 +194,14 @@ fn run_attempt(
         if opts.wants_telemetry() {
             sim.attach_tracer(tracer_for(opts));
         }
-        let mut last_checkpoint = sim.retired();
-        while !sim.is_done() {
-            if cancel.load(Ordering::Relaxed) {
-                // Persist progress before dying so the retry (or the
-                // next invocation) resumes instead of starting over.
-                write_atomic(ckpt_path, &sim.snapshot(&pr.meta))?;
-                return Ok(AttemptOutcome::DeadlineKilled);
-            }
-            sim.step_chunk(STEP_CHUNK)?;
-            if sim.retired().saturating_sub(last_checkpoint) >= checkpoint_every {
-                last_checkpoint = sim.retired();
-                write_atomic(ckpt_path, &sim.snapshot(&pr.meta))?;
-            }
+        let mut persist = |sim: &mut Simulation<'_>| -> Result<(), CliError> {
+            Ok(write_atomic(ckpt_path, &sim.snapshot(&pr.meta))?)
+        };
+        if sim.drive(deadline, checkpoint_every, &mut persist)? == Driven::DeadlinePassed {
+            // Persist progress before dying so the retry (or the next
+            // invocation) resumes instead of starting over.
+            persist(&mut sim)?;
+            return Ok(AttemptOutcome::DeadlineKilled);
         }
         let (report, tracer) = sim.into_report_with_telemetry();
         Ok(AttemptOutcome::Completed(
@@ -233,8 +227,8 @@ struct Row {
 }
 
 /// Supervises one benchmark in one pool slot: skip when already terminal,
-/// otherwise up to `max_attempts` watchdogged attempts with retries and
-/// backoff. The watchdog is spawned here, at each attempt's own start, so
+/// otherwise up to `max_attempts` deadline-bounded attempts with retries
+/// and backoff. Each attempt's deadline is set here, at its own start, so
 /// a slot's deadline covers only its own run — never wall-clock time
 /// other slots or earlier runs already burned. Console output is buffered
 /// and printed as one block per finished run.
@@ -286,24 +280,9 @@ fn supervise_slot(
     for attempt in 1..=max_attempts {
         row.attempts = attempt;
         shared.append(&format!("start {name} attempt {attempt}"))?;
-
-        // Watchdog: trips the cancel flag once the deadline passes;
-        // released early through the channel when the attempt ends.
-        // A zero deadline is already expired, so it trips here
-        // rather than racing the watchdog thread's first schedule.
-        let cancel = Arc::new(AtomicBool::new(sup.deadline_ms == 0));
-        let watchdog_flag = Arc::clone(&cancel);
-        let (release, released) = mpsc::channel::<()>();
-        let deadline = Duration::from_millis(sup.deadline_ms);
-        let watchdog = std::thread::spawn(move || {
-            if released.recv_timeout(deadline).is_err() {
-                watchdog_flag.store(true, Ordering::Relaxed);
-            }
-        });
         let started = Instant::now();
-        let (outcome, resumed) = run_attempt(&pr, opts, &ckpt_path, sup.checkpoint_every, &cancel);
-        let _ = release.send(());
-        let _ = watchdog.join();
+        let deadline = started + Duration::from_millis(sup.deadline_ms);
+        let (outcome, resumed) = run_attempt(&pr, opts, &ckpt_path, sup.checkpoint_every, deadline);
         row.resumed = row.resumed || resumed;
         let elapsed = started.elapsed();
 
@@ -723,7 +702,7 @@ mod tests {
         let dir = tmp_dir("deadline");
         let sup = SuperviseOpts {
             dir: dir.to_string_lossy().into_owned(),
-            // A 0 ms deadline trips the watchdog immediately.
+            // A 0 ms deadline has passed before the first chunk.
             deadline_ms: 0,
             max_attempts: 2,
             backoff_ms: 1,
@@ -738,6 +717,39 @@ mod tests {
             dir.join("hmmer.ckpt").exists(),
             "killed runs persist their progress"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_deadline_mid_run_checkpoints_progress_the_next_attempt_resumes() {
+        let dir = tmp_dir("midrun");
+        // Minutes of simulation, cut by a short but non-zero deadline.
+        let opts = RunOpts {
+            budget: 1_000_000_000,
+            scale: 100.0,
+            ..small_opts()
+        };
+        let pr = prepare_run("gobmk", opts.manager, opts.budget, opts.scale, None, false)
+            .expect("prepare succeeds");
+        let ckpt = dir.join("gobmk.ckpt");
+        let retired_in = |path: &Path| {
+            let bytes = std::fs::read(path).expect("checkpoint written at the kill");
+            Simulation::restore(&pr.program, pr.kind, &pr.cfg, &bytes)
+                .expect("checkpoint restores")
+                .retired()
+        };
+        let soon = || Instant::now() + Duration::from_millis(300);
+
+        let (first, resumed) = run_attempt(&pr, &opts, &ckpt, u64::MAX, soon());
+        assert!(matches!(first, AttemptOutcome::DeadlineKilled));
+        assert!(!resumed, "no checkpoint existed yet");
+        let killed_at = retired_in(&ckpt);
+        assert!(killed_at > 0, "the kill persisted mid-run progress");
+
+        let (second, resumed) = run_attempt(&pr, &opts, &ckpt, u64::MAX, soon());
+        assert!(matches!(second, AttemptOutcome::DeadlineKilled));
+        assert!(resumed, "the next attempt resumed from the checkpoint");
+        assert!(retired_in(&ckpt) > killed_at, "and carried on past it");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

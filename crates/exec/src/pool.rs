@@ -14,6 +14,10 @@
 //!   bound.
 //! - **Individually awaitable handles.** Each accepted job returns a
 //!   [`JobHandle`]; [`JobHandle::wait`] blocks only on that job.
+//! - **Worker-side completion.** [`WorkerPool::submit_then`] hands the
+//!   result to a callback on the worker instead, so a caller that only
+//!   reacts to completion needs no thread of its own to wait on a
+//!   handle. [`WorkerPool::submit`] is built on it: one job path.
 //! - **Panic isolation.** Jobs run under `catch_unwind`; a panicking job
 //!   resolves its own handle to [`JobPanic`] and the worker lives on.
 //! - **Worker supervision.** A worker thread that dies anyway (the
@@ -32,7 +36,6 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
@@ -186,6 +189,35 @@ impl WorkerPool {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
+        let slot = Arc::new(Slot {
+            cell: Mutex::new(None),
+            done: Condvar::new(),
+        });
+        let out = Arc::clone(&slot);
+        self.submit_then(job, move |result| {
+            *lock(&out.cell) = Some(result);
+            out.done.notify_all();
+        })?;
+        Ok(JobHandle { slot })
+    }
+
+    /// Submits one job whose result — its value, or the panic it raised
+    /// (with the submission sequence number as the index) — is handed
+    /// to `on_done` on the worker, right after the job's `catch_unwind`.
+    /// A [`KillWorker`](crate::KillWorker) payload is re-raised only
+    /// after `on_done` returns, so the affected caller gets its typed
+    /// error no matter what happens to the worker thread next. A panic
+    /// inside `on_done` itself kills the worker, which is respawned.
+    ///
+    /// # Errors
+    ///
+    /// As [`WorkerPool::submit`]; a refused job and its `on_done` are
+    /// dropped without running.
+    pub fn submit_then<T, F, D>(&self, job: F, on_done: D) -> Result<(), SubmitError>
+    where
+        F: FnOnce() -> T + Send + 'static,
+        D: FnOnce(Result<T, JobPanic>) + Send + 'static,
+    {
         let mut st = lock(&self.shared.state);
         if !st.open {
             return Err(SubmitError::Closed);
@@ -200,33 +232,14 @@ impl WorkerPool {
         }
         let index = usize::try_from(st.submitted).unwrap_or(usize::MAX);
         st.submitted += 1;
-        let slot = Arc::new(Slot {
-            cell: Mutex::new(None),
-            done: Condvar::new(),
-            queue_wait_ns: AtomicU64::new(0),
-        });
-        let out = Arc::clone(&slot);
-        let enqueued = Instant::now();
         st.queue.push_back(Box::new(move || {
-            // Stamp the queue wait the instant a worker picks the job
-            // up, so callers can attribute latency to queueing vs
-            // compute (the serve layer's span ledger reads this).
-            let waited = u64::try_from(enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            out.queue_wait_ns.store(waited, Ordering::Relaxed);
             match catch_unwind(AssertUnwindSafe(job)) {
-                Ok(value) => {
-                    *lock(&out.cell) = Some(Ok(value));
-                    out.done.notify_all();
-                }
+                Ok(value) => on_done(Ok(value)),
                 Err(payload) => {
-                    // Resolve the handle first so the affected caller
-                    // gets its typed error no matter what happens to
-                    // the worker thread next.
-                    *lock(&out.cell) = Some(Err(JobPanic {
+                    on_done(Err(JobPanic {
                         index,
                         message: crate::panic_message(payload.as_ref()),
                     }));
-                    out.done.notify_all();
                     if payload.is::<crate::KillWorker>() {
                         // The sentinel asks for the worker itself to
                         // die; the supervisor guard in `worker_loop`
@@ -238,7 +251,7 @@ impl WorkerPool {
         }));
         drop(st);
         self.shared.work_ready.notify_one();
-        Ok(JobHandle { slot })
+        Ok(())
     }
 
     /// Jobs waiting in the queue (not yet running).
@@ -418,9 +431,6 @@ impl Drop for Sentinel {
 struct Slot<T> {
     cell: Mutex<Option<Result<T, JobPanic>>>,
     done: Condvar,
-    /// Nanoseconds the job spent queued before a worker picked it up;
-    /// zero until pickup.
-    queue_wait_ns: AtomicU64,
 }
 
 /// An awaitable handle to one submitted job. The handle outlives the
@@ -455,15 +465,6 @@ impl<T> JobHandle<T> {
     #[must_use]
     pub fn is_done(&self) -> bool {
         lock(&self.slot.cell).is_some()
-    }
-
-    /// Nanoseconds this job spent waiting in the queue before a worker
-    /// picked it up. Zero until pickup; stable once the job is running,
-    /// so reading it after [`JobHandle::is_done`] (or before
-    /// [`JobHandle::wait`] on a done handle) gives the final value.
-    #[must_use]
-    pub fn queue_wait_ns(&self) -> u64 {
-        self.slot.queue_wait_ns.load(Ordering::Relaxed)
     }
 }
 
@@ -614,25 +615,30 @@ mod tests {
     }
 
     #[test]
-    fn queue_wait_is_attributed_to_queued_jobs() {
+    fn on_done_runs_on_the_worker_for_values_panics_and_kills() {
         let pool = WorkerPool::new(1, 4);
-        let (release, gate) = mpsc::channel::<()>();
-        let running = pool.submit(move || gate.recv().is_ok()).unwrap();
-        let queued = pool.submit(|| 7u32).unwrap();
-        // The queued job cannot start until the gate opens, so its
-        // queue wait is at least this sleep.
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        release.send(()).unwrap();
-        while !queued.is_done() {
-            std::thread::yield_now();
-        }
-        assert!(
-            queued.queue_wait_ns() >= 2_000_000,
-            "queued job waited {}ns",
-            queued.queue_wait_ns()
-        );
-        assert!(running.wait().unwrap());
-        assert_eq!(queued.wait().unwrap(), 7);
+        let (tx, rx) = mpsc::channel::<(Result<u32, JobPanic>, std::thread::ThreadId)>();
+        let report =
+            |tx: mpsc::Sender<_>| move |r| tx.send((r, std::thread::current().id())).unwrap();
+        pool.submit_then(|| 7, report(tx.clone())).unwrap();
+        pool.submit_then(|| -> u32 { panic!("boom") }, report(tx.clone()))
+            .unwrap();
+        pool.submit_then(
+            || -> u32 { std::panic::panic_any(crate::KillWorker) },
+            report(tx),
+        )
+        .unwrap();
+        let (value, worker) = rx.recv().unwrap();
+        assert_eq!(value.unwrap(), 7);
+        assert_ne!(worker, std::thread::current().id(), "runs on the worker");
+        let (boom, same) = rx.recv().unwrap();
+        assert!(boom.unwrap_err().message.contains("boom"));
+        assert_eq!(same, worker, "a panicking job spares its worker");
+        // The kill is reported before the worker dies with it.
+        let (killed, _) = rx.recv().unwrap();
+        assert_eq!(killed.unwrap_err().index, 2);
+        pool.drain();
+        assert_eq!(pool.respawns(), 1);
     }
 
     #[test]

@@ -29,7 +29,9 @@
 //! - [`system`] — [`system::run_program`], the integrated simulation loop,
 //!   including deterministic fault injection via [`powerchop_faults`],
 //!   plus [`Simulation`]: chunked stepping with crash-safe, checksummed
-//!   [`Simulation::snapshot`]/[`Simulation::restore`] checkpoints.
+//!   [`Simulation::snapshot`]/[`Simulation::restore`] checkpoints, and
+//!   [`Simulation::drive`], the one deadline-and-checkpoint run driver
+//!   the supervisor and the daemon share.
 //!
 //! # Quick start
 //!
@@ -81,8 +83,8 @@ pub use phase::PhaseSignature;
 pub use policy::GatingPolicy;
 pub use pvt::PolicyVectorTable;
 pub use system::{
-    config_fingerprint, manager_kind_by_name, read_meta, run_program, run_program_traced,
-    ManagerKind, RunConfig, RunReport, Simulation, SnapshotMeta,
+    config_fingerprint, manager_kind_by_name, read_meta, run_program, run_program_traced, Driven,
+    ManagerKind, RunConfig, RunReport, Simulation, SnapshotMeta, STEP_CHUNK,
 };
 // Execution-strategy knobs surfaced through [`RunConfig`], re-exported so
 // front ends need not depend on the BT crate directly.

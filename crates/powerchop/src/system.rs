@@ -5,6 +5,8 @@
 //! the one-shot entry point producing the [`RunReport`] that every
 //! experiment in the paper's evaluation is derived from.
 
+use std::time::Instant;
+
 use powerchop_bt::nucleus::{Nucleus, NucleusStats};
 use powerchop_bt::{BtConfig, BtStats, JitMode, JitReport, Machine, MachineEvent};
 use powerchop_checkpoint::{fnv1a64, CheckpointError, Snapshot, SnapshotWriter};
@@ -414,6 +416,20 @@ pub fn config_fingerprint(kind: ManagerKind, cfg: &RunConfig) -> u64 {
     fnv1a64(canon.as_bytes())
 }
 
+/// Dispatch-loop iterations per [`Simulation::step_chunk`] call in
+/// [`Simulation::drive`]: the granularity of its deadline checks and
+/// checkpoints.
+pub const STEP_CHUNK: u64 = 65_536;
+
+/// How a [`Simulation::drive`] stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Driven {
+    /// The run reached its end (budget exhausted or guest halted).
+    Finished,
+    /// The deadline passed first; the run is intact and resumable.
+    DeadlinePassed,
+}
+
 /// A live simulation: the complete deterministic state of one run.
 ///
 /// Stepping is chunked at guest-dispatch boundaries
@@ -706,6 +722,38 @@ impl<'p> Simulation<'p> {
             self.step_once()?;
         }
         Ok(())
+    }
+
+    /// Drives the run in [`STEP_CHUNK`] chunks until it finishes or
+    /// `deadline` has passed, checked before each chunk (so an
+    /// already-passed deadline stops the run before any work). After a
+    /// chunk retires at least `checkpoint_every` instructions past the
+    /// last checkpoint (or the drive's start), `checkpoint` is called on
+    /// the live simulation; `u64::MAX` never checkpoints. A stopped run
+    /// stays resumable: snapshot it, or drive it again.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error of a chunk ([`SimError::Guest`] for
+    /// guest-execution faults) or of the checkpoint hook.
+    pub fn drive<E: From<SimError>>(
+        &mut self,
+        deadline: Instant,
+        checkpoint_every: u64,
+        mut checkpoint: impl FnMut(&mut Self) -> Result<(), E>,
+    ) -> Result<Driven, E> {
+        let mut last_checkpoint = self.retired();
+        while !self.done {
+            if Instant::now() >= deadline {
+                return Ok(Driven::DeadlinePassed);
+            }
+            self.step_chunk(STEP_CHUNK)?;
+            if self.retired().saturating_sub(last_checkpoint) >= checkpoint_every {
+                last_checkpoint = self.retired();
+                checkpoint(self)?;
+            }
+        }
+        Ok(Driven::Finished)
     }
 
     /// Runs the simulation to completion.
@@ -1184,6 +1232,44 @@ mod tests {
         assert_eq!(report.pvt, straight.pvt);
         assert_eq!(report.cde, straight.cde);
         assert_eq!(report.degrade, straight.degrade);
+    }
+
+    #[test]
+    fn drive_honours_deadlines_and_checkpoints_without_perturbing_the_run() {
+        let p = idle_units_program(400_000);
+        let mut c = cfg();
+        c.max_instructions = 800_000;
+        let kind = ManagerKind::PowerChop;
+        let straight = run_program(&p, kind, &c).expect("uninterrupted run succeeds");
+        let never = |_: &mut Simulation<'_>| -> Result<(), SimError> { Ok(()) };
+
+        // A passed deadline stops the run before its first chunk.
+        let mut sim = Simulation::new(&p, kind, &c).expect("config is valid");
+        let passed = sim.drive(Instant::now(), u64::MAX, never);
+        assert_eq!(passed, Ok(Driven::DeadlinePassed));
+        assert_eq!(sim.retired(), 0);
+
+        // Driven to the end, it checkpoints on every crossing of the
+        // period and reports exactly what an uninterrupted run does.
+        let far = Instant::now() + std::time::Duration::from_secs(3_600);
+        let mut marks = Vec::new();
+        let finished = sim.drive(far, 200_000, |s: &mut Simulation<'_>| {
+            marks.push(s.retired());
+            Ok::<(), SimError>(())
+        });
+        assert_eq!(finished, Ok(Driven::Finished));
+        assert!(marks.len() >= 3, "checkpoints at {marks:?}");
+        assert!(
+            marks.windows(2).all(|w| w[1] - w[0] >= 200_000),
+            "{marks:?}"
+        );
+        let report = sim.into_report();
+        assert_eq!(report.instructions, straight.instructions);
+        assert_eq!(report.cycles, straight.cycles);
+        assert_eq!(
+            report.energy.total_j.to_bits(),
+            straight.energy.total_j.to_bits()
+        );
     }
 
     #[test]

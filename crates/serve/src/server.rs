@@ -11,16 +11,17 @@
 //! instead of queueing unboundedly — explicit backpressure the client
 //! can see and retry against. A dispatched run parks its connection in
 //! an in-flight state (its socket stops being polled for input, so a
-//! pipelined flood backs up into the kernel buffer) and a small settler
-//! thread waits the run out, then hands the reply back to the loop over
-//! an eventfd wakeup.
+//! pipelined flood backs up into the kernel buffer) and settles itself
+//! on its pool worker ([`WorkerPool::submit_then`]): cache put, intent
+//! retire and reply render happen there, and the reply goes back to the
+//! loop over a channel plus an eventfd wakeup. An in-flight run holds
+//! exactly one thread, its worker.
 //!
-//! Every run gets a wall-clock deadline watchdog mirroring the
-//! `supervise` machinery: a watchdog thread trips a cancel flag once the
-//! deadline passes and the run checks it between step chunks, so a
-//! runaway request yields a 408 reply instead of pinning a worker
-//! forever. The deadline is a single [`DeadlineBudget`] charged across
-//! queue wait *and* compute, so time spent waiting for a worker can
+//! Every run is driven by [`Simulation::drive`], the same driver the
+//! CLI's `supervise` uses: it checks an absolute deadline before each
+//! step chunk, so a runaway request yields a 408 reply instead of
+//! pinning a worker forever. A live request's deadline is its admission
+//! instant plus `deadline_ms`, so time spent waiting for a worker can
 //! never buy extra execution time past the client's deadline.
 //!
 //! Connections are hardened end to end: a timing wheel (see
@@ -61,11 +62,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use powerchop::{config_fingerprint, ManagerKind, RunConfig, RunReport, Simulation};
+use powerchop::{
+    config_fingerprint, Driven, ManagerKind, RunConfig, RunReport, SimError, Simulation, STEP_CHUNK,
+};
 use powerchop_checkpoint::run_key;
-use powerchop_exec::{JobHandle, KillWorker, SubmitError, WorkerPool};
+use powerchop_exec::{JobHandle, JobPanic, KillWorker, SubmitError, WorkerPool};
 use powerchop_gisa::Program;
-use powerchop_resilience::{Admission, CircuitBreaker, DeadlineBudget, RetryPolicy};
+use powerchop_resilience::{Admission, CircuitBreaker, RetryPolicy};
 use powerchop_telemetry::export::JsonWriter;
 use powerchop_telemetry::{
     format_trace_id, trace_id, MetricsRegistry, Phase, SpanLedger, TelemetryConfig, Tracer,
@@ -81,11 +84,6 @@ use crate::protocol::{
 };
 use crate::report::report_to_json;
 use crate::wheel::TimerWheel;
-
-/// Dispatch-loop iterations per [`Simulation::step_chunk`] call — the
-/// same chunking the CLI's checkpoint/supervise paths use, so deadline
-/// checks land at identical boundaries.
-const STEP_CHUNK: u64 = 65_536;
 
 /// Everything that shapes a daemon instance.
 #[derive(Debug, Clone)]
@@ -249,6 +247,7 @@ fn entropy_seed() -> u64 {
 /// Everything one request accumulates on its way through the daemon:
 /// the trace id minted at accept, the span ledger every phase records
 /// into, and the classification the access log and histograms need.
+#[derive(Clone)]
 struct RequestCtx {
     trace: u64,
     ledger: SpanLedger,
@@ -285,7 +284,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// State shared by the event loop, the settler threads and the resumer.
+/// State shared by the event loop, the pool workers, the sweep drivers
+/// and the resumer.
 struct State {
     pool: WorkerPool,
     cache: ShardedCache,
@@ -820,28 +820,36 @@ impl Conn {
     }
 }
 
-/// A run or sweep reply coming back from a settler thread.
+/// A run or sweep reply coming back from off the loop.
 struct Completion {
     token: u64,
     ctx: RequestCtx,
     reply: String,
 }
 
-/// A run accepted onto the pool, awaiting settlement off-loop.
-struct DispatchedRun {
-    key: u128,
-    deadline_ms: u64,
-    handle: JobHandle<Result<RunDone, RunFail>>,
-    intent: Option<u64>,
-    bench: String,
+/// The way back to the event loop for a request settled off it (on its
+/// pool worker, or on a sweep's driver thread).
+#[derive(Clone)]
+struct ReplyTx {
+    tx: mpsc::Sender<Completion>,
+    wake: Arc<WakeFd>,
+}
+
+impl ReplyTx {
+    fn complete(&self, token: u64, ctx: RequestCtx, reply: String) {
+        // Send-then-ring: the message is in the channel before the
+        // eventfd wakes the loop, so the drain always finds it.
+        let _ = self.tx.send(Completion { token, ctx, reply });
+        self.wake.ring();
+    }
 }
 
 /// Where one request line goes after parsing.
 enum Dispatch {
     /// Answered inline on the loop thread (quick ops, errors, hits).
     Reply(String),
-    /// A run is on the pool; a settler thread will complete it.
-    Run(Box<DispatchedRun>),
+    /// A run is on the pool; its worker will complete it.
+    Run,
     /// A sweep drives the pool from its own thread.
     Sweep(Vec<RunSpec>),
 }
@@ -851,13 +859,12 @@ enum Dispatch {
 struct EventLoop<'a> {
     state: &'a Arc<State>,
     epoll: Epoll,
-    wake: Arc<WakeFd>,
-    tx: mpsc::Sender<Completion>,
+    reply_tx: ReplyTx,
     conns: HashMap<u64, Conn>,
     wheel: TimerWheel<Timer>,
     next_token: u64,
-    /// Runs and sweeps handed to settler threads whose completions
-    /// have not come back yet; the drain waits for zero.
+    /// Runs and sweeps dispatched off the loop whose completions have
+    /// not come back yet; the drain waits for zero.
     inflight_dispatches: usize,
     /// Scratch buffer for wheel expiry.
     fired: Vec<Timer>,
@@ -873,8 +880,7 @@ fn run_event_loop(listener: &TcpListener, state: &Arc<State>) -> std::io::Result
     let mut el = EventLoop {
         state,
         epoll,
-        wake,
-        tx,
+        reply_tx: ReplyTx { tx, wake },
         conns: HashMap::new(),
         wheel: TimerWheel::new(WHEEL_GRANULARITY_MS, WHEEL_SLOTS),
         next_token: TOK_FIRST_CONN,
@@ -914,7 +920,7 @@ fn run_event_loop(listener: &TcpListener, state: &Arc<State>) -> std::io::Result
                         el.accept_ready(listener);
                     }
                 }
-                TOK_WAKE => el.wake.drain(),
+                TOK_WAKE => el.reply_tx.wake.drain(),
                 _ => el.on_conn_event(token, mask),
             }
         }
@@ -1184,35 +1190,20 @@ impl EventLoop<'_> {
             self.enqueue_line(conn, &reply, Some(ctx));
             return;
         }
-        match dispatch_line(self.state, line, &mut ctx) {
-            Dispatch::Reply(reply) => self.enqueue_line(conn, &reply, Some(ctx)),
-            Dispatch::Run(run) => {
-                conn.phase = ConnPhase::InFlight;
-                conn.read_deadline = None;
-                self.inflight_dispatches += 1;
-                spawn_run_settler(
-                    self.state,
-                    run,
-                    ctx,
-                    token,
-                    self.tx.clone(),
-                    Arc::clone(&self.wake),
-                );
+        match dispatch_line(self.state, line, &mut ctx, token, &self.reply_tx) {
+            Dispatch::Reply(reply) => {
+                self.enqueue_line(conn, &reply, Some(ctx));
+                return;
             }
+            // The run's worker settles its own copy of the context.
+            Dispatch::Run => {}
             Dispatch::Sweep(specs) => {
-                conn.phase = ConnPhase::InFlight;
-                conn.read_deadline = None;
-                self.inflight_dispatches += 1;
-                spawn_sweep_driver(
-                    self.state,
-                    specs,
-                    ctx,
-                    token,
-                    self.tx.clone(),
-                    Arc::clone(&self.wake),
-                );
+                spawn_sweep_driver(self.state, specs, ctx, token, self.reply_tx.clone());
             }
         }
+        conn.phase = ConnPhase::InFlight;
+        conn.read_deadline = None;
+        self.inflight_dispatches += 1;
     }
 
     /// A request line (or line fragment) over the size limit: one typed
@@ -1460,7 +1451,7 @@ impl EventLoop<'_> {
         self.fired = fired;
     }
 
-    /// A settler finished: hand its reply to the connection (or settle
+    /// A dispatch finished: hand its reply to the connection (or settle
     /// the request anyway if the client vanished mid-run — the work
     /// still landed in the cache and journal).
     fn on_completion(&mut self, done: Completion) {
@@ -1535,8 +1526,15 @@ impl EventLoop<'_> {
 
 /// Routes one request line to its handler, recording the parse span
 /// and classifying the request for the access log as it goes. Quick
-/// ops answer inline; runs and sweeps dispatch off-loop.
-fn dispatch_line(state: &Arc<State>, line: &str, ctx: &mut RequestCtx) -> Dispatch {
+/// ops answer inline; runs and sweeps dispatch off-loop and complete
+/// through `reply_tx` under the connection's `token`.
+fn dispatch_line(
+    state: &Arc<State>,
+    line: &str,
+    ctx: &mut RequestCtx,
+    token: u64,
+    reply_tx: &ReplyTx,
+) -> Dispatch {
     let parse_started = Instant::now();
     let parsed = parse_request(line, &state.limits);
     ctx.ledger.record(Phase::Parse, ns_since(parse_started));
@@ -1561,12 +1559,12 @@ fn dispatch_line(state: &Arc<State>, line: &str, ctx: &mut RequestCtx) -> Dispat
         Ok(Request::Run(spec)) => {
             ctx.op = "run";
             ctx.bench = Some(spec.bench.clone());
-            match start_run(state, &spec, ctx) {
+            match start_run(state, &spec, ctx, token, reply_tx) {
                 Ok(RunStart::Cached(report)) => {
                     ctx.cached = true;
                     Dispatch::Reply(run_reply(ctx.trace, true, &report))
                 }
-                Ok(RunStart::Dispatched(run)) => Dispatch::Run(run),
+                Ok(RunStart::Dispatched) => Dispatch::Run,
                 Err(e) => Dispatch::Reply(refuse(state, &e, ctx)),
             }
         }
@@ -1593,18 +1591,21 @@ fn refuse(state: &Arc<State>, e: &ReqError, ctx: &mut RequestCtx) -> String {
 enum RunStart {
     /// Served bit-identically from the cache; no pool involved.
     Cached(String),
-    /// Accepted onto the pool; a settler thread owns it now.
-    Dispatched(Box<DispatchedRun>),
+    /// Accepted onto the pool; its worker settles it.
+    Dispatched,
 }
 
-/// The `run` op's front half, on the loop thread: draining check,
-/// cache lookup, breaker admission, intent journaling, bounded
-/// submission. Refusals (429/503) are immediate; an accepted run
-/// comes back as [`RunStart::Dispatched`] for off-loop settlement.
+/// The `run` op, on the loop thread: draining check, cache lookup,
+/// breaker admission, intent journaling, bounded submission. Refusals
+/// (429/503) are immediate. An accepted run settles itself on its
+/// worker right after the simulation ends — cache put, intent retire,
+/// reply render — and completes through `reply_tx`.
 fn start_run(
     state: &Arc<State>,
     spec: &RunSpec,
     ctx: &mut RequestCtx,
+    token: u64,
+    reply_tx: &ReplyTx,
 ) -> Result<RunStart, ReqError> {
     if state.draining() {
         return Err(ReqError::draining());
@@ -1642,75 +1643,58 @@ fn start_run(
     };
     ctx.ledger.record(Phase::Journal, ns_since(journal_started));
     let intent = plan.as_ref().map(|p| p.id);
-    match state.pool.submit(run_job(
-        program,
-        spec.manager,
-        cfg,
+    let job = RunJob {
+        prepared: Arc::new((program, cfg)),
+        kind: spec.manager,
         deadline_ms,
-        spec.chaos_panic,
+        charge_queue: true,
+        chaos_panic: spec.chaos_panic,
         plan,
-        state.traced(),
-    )) {
-        Ok(handle) => Ok(RunStart::Dispatched(Box::new(DispatchedRun {
-            key,
-            deadline_ms,
-            handle,
-            intent,
-            bench: spec.bench.clone(),
-        }))),
+        traced: state.traced(),
+    };
+    let settle_on_worker = {
+        let state = Arc::clone(state);
+        let reply_tx = reply_tx.clone();
+        let mut ctx = ctx.clone();
+        let bench = spec.bench.clone();
+        move |result| {
+            let outcome = settle(&state, key, deadline_ms, result, Some(&mut ctx));
+            // Retire the intent however the run ended: the client gets
+            // its reply (success or typed error), so the daemon owes
+            // nothing after this.
+            retire_intent(&state, intent, [bench.as_str()], &mut ctx);
+            let reply = match outcome {
+                Ok(json) => run_reply(ctx.trace, false, &json),
+                Err(e) => refuse(&state, &e, &mut ctx),
+            };
+            reply_tx.complete(token, ctx, reply);
+        }
+    };
+    match state.pool.submit_then(run_job(job), settle_on_worker) {
+        Ok(()) => Ok(RunStart::Dispatched),
         Err(e) => {
             // Shed before dispatch: retire the intent now — the client
             // gets its typed refusal and the daemon owes nothing.
-            let journal_started = Instant::now();
-            if let (Some(d), Some(id)) = (&state.durable, intent) {
-                d.journal_done(id);
-                d.remove_spills(id, [spec.bench.as_str()]);
-                ctx.ledger.record(Phase::Journal, ns_since(journal_started));
-            }
+            retire_intent(state, intent, [spec.bench.as_str()], ctx);
             Err(submit_error(e))
         }
     }
 }
 
-/// Waits a dispatched run out on its own small thread, retires its
-/// journal intent, and hands the rendered reply back to the event loop
-/// over the completion channel + eventfd wakeup.
-fn spawn_run_settler(
-    state: &Arc<State>,
-    run: Box<DispatchedRun>,
-    mut ctx: RequestCtx,
-    token: u64,
-    tx: mpsc::Sender<Completion>,
-    wake: Arc<WakeFd>,
+/// Journals `Done` for a settled intent and deletes its benches' spills,
+/// charging the journal span to the request.
+fn retire_intent<'b>(
+    state: &State,
+    intent: Option<u64>,
+    benches: impl IntoIterator<Item = &'b str>,
+    ctx: &mut RequestCtx,
 ) {
-    let state = Arc::clone(state);
-    std::thread::spawn(move || {
-        let DispatchedRun {
-            key,
-            deadline_ms,
-            handle,
-            intent,
-            bench,
-        } = *run;
-        let outcome = settle(&state, key, deadline_ms, handle, Some(&mut ctx));
-        // Retire the intent however the run ended: the client gets its
-        // reply (success or typed error), so the daemon owes nothing
-        // after this.
-        let journal_started = Instant::now();
-        if let (Some(d), Some(id)) = (&state.durable, intent) {
-            d.journal_done(id);
-            d.remove_spills(id, [bench.as_str()]);
-            ctx.ledger.record(Phase::Journal, ns_since(journal_started));
-        }
-        let reply = match outcome {
-            Ok(json) => run_reply(ctx.trace, false, &json),
-            Err(e) => refuse(&state, &e, &mut ctx),
-        };
-        // Send-then-ring: the message is in the channel before the
-        // eventfd wakes the loop, so the drain always finds it.
-        let _ = tx.send(Completion { token, ctx, reply });
-        wake.ring();
-    });
+    let journal_started = Instant::now();
+    if let (Some(d), Some(id)) = (&state.durable, intent) {
+        d.journal_done(id);
+        d.remove_spills(id, benches);
+        ctx.ledger.record(Phase::Journal, ns_since(journal_started));
+    }
 }
 
 /// Drives a whole sweep from its own thread (the sweep path blocks on
@@ -1721,23 +1705,27 @@ fn spawn_sweep_driver(
     specs: Vec<RunSpec>,
     mut ctx: RequestCtx,
     token: u64,
-    tx: mpsc::Sender<Completion>,
-    wake: Arc<WakeFd>,
+    reply_tx: ReplyTx,
 ) {
     let state = Arc::clone(state);
     std::thread::spawn(move || {
         let reply = sweep(&state, specs, &mut ctx);
-        let _ = tx.send(Completion { token, ctx, reply });
-        wake.ring();
+        reply_tx.complete(token, ctx, reply);
     });
 }
 
 /// How one dispatched run can fail.
 enum RunFail {
-    /// The deadline watchdog tripped.
+    /// The deadline passed before the run finished.
     Deadline,
     /// The simulator returned a typed error.
     Sim(String),
+}
+
+impl From<SimError> for RunFail {
+    fn from(e: SimError) -> Self {
+        RunFail::Sim(e.to_string())
+    }
 }
 
 /// A completed run plus its span attribution: how long it sat in the
@@ -1750,12 +1738,8 @@ struct RunDone {
     trace_events: u64,
 }
 
-/// Runs one simulation under a deadline watchdog, mirroring the CLI
-/// `supervise` machinery: the watchdog trips a cancel flag once the
-/// deadline passes and is released early through the channel when the
-/// run ends; the run polls the flag between step chunks. A zero
-/// deadline is already expired, so it trips here rather than racing the
-/// watchdog thread's first schedule.
+/// Drives one simulation with [`Simulation::drive`] until it finishes
+/// or `deadline` passes.
 ///
 /// The optional [`SpillPlan`] adds the durability hooks: it restores
 /// the simulation from its spill checkpoint (resume path) and spills a
@@ -1766,55 +1750,37 @@ struct RunDone {
 /// [`Simulation::attach_tracer`], so the flight recorder captures the
 /// run's phase spans; tracing never changes simulated state, so traced
 /// and untraced runs produce bit-identical reports.
-fn run_with_deadline_plan(
+fn run_until(
     program: &Program,
     kind: ManagerKind,
     cfg: &RunConfig,
-    deadline_ms: u64,
+    deadline: Instant,
     plan: Option<&SpillPlan>,
     traced: bool,
 ) -> Result<(RunReport, u64), RunFail> {
-    let cancel = Arc::new(AtomicBool::new(deadline_ms == 0));
-    let watchdog_flag = Arc::clone(&cancel);
-    let (release, released) = mpsc::channel::<()>();
-    let deadline = Duration::from_millis(deadline_ms);
-    let watchdog = std::thread::spawn(move || {
-        if released.recv_timeout(deadline).is_err() {
-            watchdog_flag.store(true, Ordering::Relaxed);
+    let mut sim = restore_or_new(program, kind, cfg, plan)?;
+    if traced {
+        sim.attach_tracer(Tracer::enabled(TelemetryConfig {
+            ring_capacity: 256,
+            sample_every_cycles: 0,
+        }));
+    }
+    let spill_every = plan.map_or(u64::MAX, |p| p.durability.spill_every);
+    let spill = |sim: &mut Simulation<'_>| -> Result<(), RunFail> {
+        if let Some(plan) = plan {
+            spill_now(sim, plan);
         }
-    });
-    let result = (|| {
-        let mut sim = restore_or_new(program, kind, cfg, plan)?;
-        if traced {
-            sim.attach_tracer(Tracer::enabled(TelemetryConfig {
-                ring_capacity: 256,
-                sample_every_cycles: 0,
-            }));
-        }
-        let mut last_spill = sim.retired();
-        while !sim.is_done() {
-            if cancel.load(Ordering::Relaxed) {
-                return Err(RunFail::Deadline);
-            }
-            sim.step_chunk(STEP_CHUNK)
-                .map_err(|e| RunFail::Sim(e.to_string()))?;
-            if let Some(plan) = plan {
-                if sim.retired().saturating_sub(last_spill) >= plan.durability.spill_every {
-                    spill_now(&mut sim, plan);
-                    last_spill = sim.retired();
-                }
-            }
-        }
-        let (report, tracer) = sim.into_report_with_telemetry();
-        let events = tracer
-            .recorder()
-            .map(|r| r.events().len() as u64)
-            .unwrap_or(0);
-        Ok((report, events))
-    })();
-    let _ = release.send(());
-    let _ = watchdog.join();
-    result
+        Ok(())
+    };
+    if sim.drive(deadline, spill_every, spill)? == Driven::DeadlinePassed {
+        return Err(RunFail::Deadline);
+    }
+    let (report, tracer) = sim.into_report_with_telemetry();
+    let events = tracer
+        .recorder()
+        .map(|r| r.events().len() as u64)
+        .unwrap_or(0);
+    Ok((report, events))
 }
 
 /// Builds the simulation for a planned run: from its spill checkpoint
@@ -1848,12 +1814,12 @@ fn restore_or_new<'p>(
                     ledger
                         .redone_instructions
                         .fetch_add(promised, Ordering::SeqCst);
-                    Simulation::new(program, kind, cfg).map_err(|e| RunFail::Sim(e.to_string()))
+                    Ok(Simulation::new(program, kind, cfg)?)
                 }
             };
         }
     }
-    Simulation::new(program, kind, cfg).map_err(|e| RunFail::Sim(e.to_string()))
+    Ok(Simulation::new(program, kind, cfg)?)
 }
 
 /// Spills one checkpoint: atomic file write first, journal marker
@@ -1887,17 +1853,17 @@ fn prepare(spec: &RunSpec) -> Result<(Program, RunConfig, u128), ReqError> {
     Ok((program, cfg, key))
 }
 
-/// Waits out a dispatched run and folds the outcome into the cache and
-/// counters. The returned report string is exactly what the cache will
-/// replay for the next identical request.
+/// Folds a finished run's outcome into the cache and counters. The
+/// returned report string is exactly what the cache will replay for the
+/// next identical request.
 fn settle(
     state: &Arc<State>,
     key: u128,
     deadline_ms: u64,
-    handle: JobHandle<Result<RunDone, RunFail>>,
+    result: Result<Result<RunDone, RunFail>, JobPanic>,
     mut ctx: Option<&mut RequestCtx>,
 ) -> Result<String, ReqError> {
-    match handle.wait() {
+    match result {
         Err(panic) => {
             state.count("serve_panics_total");
             state.breaker_observe(false);
@@ -1964,62 +1930,108 @@ fn submit_error(e: SubmitError) -> ReqError {
     }
 }
 
-/// Builds the pool job for one run: charge the queue wait against the
-/// request's [`DeadlineBudget`] (so waiting cannot buy extra compute
-/// time), then run under a watchdog for whatever remains. A
-/// `chaos_panic` spec steps one chunk and then kills its worker with
-/// the [`KillWorker`] sentinel — the supervision path, on demand.
-fn run_job(
-    program: Program,
+/// One run's pool job, cheap to clone so a Busy retry can rebuild it.
+#[derive(Clone)]
+struct RunJob {
+    prepared: Arc<(Program, RunConfig)>,
     kind: ManagerKind,
-    cfg: RunConfig,
     deadline_ms: u64,
+    /// Whether the deadline runs from admission, charging queue wait
+    /// (live requests), or from pickup (boot-time resume).
+    charge_queue: bool,
+    /// Step one chunk, then kill the worker with the [`KillWorker`]
+    /// sentinel — the supervision path, on demand.
     chaos_panic: bool,
     plan: Option<SpillPlan>,
     traced: bool,
-) -> impl FnOnce() -> Result<RunDone, RunFail> + Send + 'static {
+}
+
+/// Builds the pool job for one run — every `run`, sweep row and resume
+/// goes through here. The job's deadline is an absolute instant, so a
+/// live request's time waiting for a worker can never buy extra compute
+/// time.
+fn run_job(job: RunJob) -> impl FnOnce() -> Result<RunDone, RunFail> + Send + 'static {
     let admitted = Instant::now();
     move || {
         // The wait between submission and this closure running *is*
-        // the queue span — the same wait the deadline budget charges.
+        // the queue span.
         let queue_ns = ns_since(admitted);
-        if chaos_panic {
-            if let Ok(mut sim) = Simulation::new(&program, kind, &cfg) {
+        let (program, cfg) = &*job.prepared;
+        if job.chaos_panic {
+            if let Ok(mut sim) = Simulation::new(program, job.kind, cfg) {
                 let _ = sim.step_chunk(STEP_CHUNK);
             }
             std::panic::panic_any(KillWorker);
         }
-        let mut budget = DeadlineBudget::new(deadline_ms);
-        let remaining = budget.charge(queue_ns / 1_000_000);
-        if budget.expired() {
-            return Err(RunFail::Deadline);
-        }
         let compute_started = Instant::now();
-        run_with_deadline_plan(&program, kind, &cfg, remaining, plan.as_ref(), traced).map(
-            |(report, trace_events)| RunDone {
-                report,
-                queue_ns,
-                compute_ns: ns_since(compute_started),
-                trace_events,
-            },
+        let clock = if job.charge_queue {
+            admitted
+        } else {
+            compute_started
+        };
+        let deadline = clock + Duration::from_millis(job.deadline_ms);
+        run_until(
+            program,
+            job.kind,
+            cfg,
+            deadline,
+            job.plan.as_ref(),
+            job.traced,
         )
+        .map(|(report, trace_events)| RunDone {
+            report,
+            queue_ns,
+            compute_ns: ns_since(compute_started),
+            trace_events,
+        })
+    }
+}
+
+/// Submits a sweep row or a resume, riding through `Busy` with seeded-
+/// jitter backoff: it is owed work and must not shed itself, but a burst
+/// of them must not hammer the queue in lockstep either. The jitter is
+/// reproducible for a given request seed and de-synchronized across
+/// benchmarks. With `yield_to_drain` set, a drain observed before an
+/// attempt abandons the submission as [`SubmitError::Closed`].
+fn submit_patiently(
+    state: &State,
+    spec: &RunSpec,
+    job: &RunJob,
+    yield_to_drain: bool,
+) -> Result<JobHandle<Result<RunDone, RunFail>>, SubmitError> {
+    let policy = RetryPolicy::new(1, 50);
+    let retry_seed = spec.seed.unwrap_or(crate::protocol::DEFAULT_FAULT_SEED);
+    let stream = powerchop_resilience::retry::stream_label(&spec.bench);
+    let mut attempt = 0u32;
+    loop {
+        if yield_to_drain && state.draining() {
+            return Err(SubmitError::Closed);
+        }
+        match state.pool.submit(run_job(job.clone())) {
+            Err(SubmitError::Busy { .. }) => {
+                attempt = attempt.saturating_add(1);
+                state.count("serve_retries_total");
+                std::thread::sleep(Duration::from_millis(
+                    policy.delay_ms(retry_seed, stream, attempt),
+                ));
+            }
+            submitted => return submitted,
+        }
     }
 }
 
 /// The `sweep` op: submit every benchmark up front (filling workers and
 /// queue), then await them in roster order. The sweep's own submissions
-/// ride through Busy with seeded-jitter backoff — it is one logical
-/// request and must not shed itself, but a burst of sweeps must not
-/// hammer the queue in lockstep either — while concurrent `run`
-/// requests observe the full queue and get 429s: exactly the
-/// backpressure story.
+/// ride through Busy ([`submit_patiently`]) — it is one logical request
+/// — while concurrent `run` requests observe the full queue and get
+/// 429s: exactly the backpressure story.
 fn sweep(state: &Arc<State>, specs: Vec<RunSpec>, ctx: &mut RequestCtx) -> String {
     if state.draining() {
         return refuse(state, &ReqError::draining(), ctx);
     }
     enum Pending {
         Cached(String),
-        Dispatched(u128, u64, JobHandle<Result<RunDone, RunFail>>),
+        Dispatched(u128, JobHandle<Result<RunDone, RunFail>>),
         Refused(ReqError),
     }
     // One intent covers the whole sweep: it is one logical request, and
@@ -2047,62 +2059,24 @@ fn sweep(state: &Arc<State>, specs: Vec<RunSpec>, ctx: &mut RequestCtx) -> Strin
                     Pending::Cached(hit)
                 } else {
                     state.count("serve_cache_misses_total");
-                    let kind = spec.manager;
-                    let deadline_ms = spec.deadline_ms;
-                    let shared = Arc::new((program, cfg));
-                    let plan = match (&state.durable, intent) {
-                        (Some(d), Some(id)) => Some(SpillPlan {
+                    let job = RunJob {
+                        prepared: Arc::new((program, cfg)),
+                        kind: spec.manager,
+                        deadline_ms: spec.deadline_ms,
+                        charge_queue: true,
+                        chaos_panic: false,
+                        plan: intent.zip(state.durable.as_ref()).map(|(id, d)| SpillPlan {
                             durability: Arc::clone(d),
                             id,
                             spec: spec.clone(),
                             resume_from: None,
                             recovery: false,
                         }),
-                        _ => None,
+                        traced,
                     };
-                    // Seeded-jitter backoff: reproducible for a given
-                    // request seed, de-synchronized across benchmarks.
-                    let policy = RetryPolicy::new(1, 50);
-                    let retry_seed = spec.seed.unwrap_or(crate::protocol::DEFAULT_FAULT_SEED);
-                    let stream = powerchop_resilience::retry::stream_label(&spec.bench);
-                    let mut attempt = 0u32;
-                    loop {
-                        let shared_job = Arc::clone(&shared);
-                        let job_plan = plan.clone();
-                        let admitted = Instant::now();
-                        match state.pool.submit(move || {
-                            let queue_ns = ns_since(admitted);
-                            let mut budget = DeadlineBudget::new(deadline_ms);
-                            let remaining = budget.charge(queue_ns / 1_000_000);
-                            if budget.expired() {
-                                return Err(RunFail::Deadline);
-                            }
-                            let compute_started = Instant::now();
-                            run_with_deadline_plan(
-                                &shared_job.0,
-                                kind,
-                                &shared_job.1,
-                                remaining,
-                                job_plan.as_ref(),
-                                traced,
-                            )
-                            .map(|(report, trace_events)| RunDone {
-                                report,
-                                queue_ns,
-                                compute_ns: ns_since(compute_started),
-                                trace_events,
-                            })
-                        }) {
-                            Ok(handle) => break Pending::Dispatched(key, deadline_ms, handle),
-                            Err(SubmitError::Busy { .. }) => {
-                                attempt = attempt.saturating_add(1);
-                                state.count("serve_retries_total");
-                                std::thread::sleep(Duration::from_millis(
-                                    policy.delay_ms(retry_seed, stream, attempt),
-                                ));
-                            }
-                            Err(e) => break Pending::Refused(submit_error(e)),
-                        }
+                    match submit_patiently(state, spec, &job, false) {
+                        Ok(handle) => Pending::Dispatched(key, handle),
+                        Err(e) => Pending::Refused(submit_error(e)),
                     }
                 }
             }
@@ -2122,8 +2096,8 @@ fn sweep(state: &Arc<State>, specs: Vec<RunSpec>, ctx: &mut RequestCtx) -> Strin
                     state.count("serve_errors_total");
                     SweepOutcome::Failed(e)
                 }
-                Pending::Dispatched(key, deadline_ms, handle) => {
-                    match settle(state, key, deadline_ms, handle, Some(&mut *ctx)) {
+                Pending::Dispatched(key, handle) => {
+                    match settle(state, key, spec.deadline_ms, handle.wait(), Some(&mut *ctx)) {
                         Ok(report) => SweepOutcome::Done {
                             cached: false,
                             report,
@@ -2143,12 +2117,12 @@ fn sweep(state: &Arc<State>, specs: Vec<RunSpec>, ctx: &mut RequestCtx) -> Strin
         .collect();
     // Every row has settled and the reply is about to reach the client:
     // retire the intent and garbage-collect its spills.
-    let journal_started = Instant::now();
-    if let (Some(d), Some(id)) = (&state.durable, intent) {
-        d.journal_done(id);
-        d.remove_spills(id, rows.iter().map(|(bench, _)| bench.as_str()));
-        ctx.ledger.record(Phase::Journal, ns_since(journal_started));
-    }
+    retire_intent(
+        state,
+        intent,
+        rows.iter().map(|(bench, _)| bench.as_str()),
+        ctx,
+    );
     sweep_reply(ctx.trace, &rows)
 }
 
@@ -2220,10 +2194,10 @@ enum ResumeOutcome {
     Abandoned,
 }
 
-/// Resumes one run of a pending intent. Rides through `Busy` with the
-/// same seeded-jitter backoff a sweep uses — recovery is owed work and
-/// must not shed itself — but yields to live traffic by checking the
-/// drain flag between attempts.
+/// Resumes one run of a pending intent. Rides through `Busy` like a
+/// sweep row — recovery is owed work and must not shed itself — but
+/// yields to live traffic by checking the drain flag between attempts.
+/// Its deadline clock starts when a worker picks the job up.
 fn resume_one(
     state: &Arc<State>,
     d: &Arc<Durability>,
@@ -2240,59 +2214,28 @@ fn resume_one(
         return ResumeOutcome::Cached;
     }
     let deadline_ms = state.limits.deadline_ms;
-    let plan = SpillPlan {
-        durability: Arc::clone(d),
-        id,
-        spec: spec.clone(),
-        resume_from,
-        recovery: true,
+    let job = RunJob {
+        prepared: Arc::new((program, cfg)),
+        kind: spec.manager,
+        deadline_ms,
+        charge_queue: false,
+        chaos_panic: false,
+        plan: Some(SpillPlan {
+            durability: Arc::clone(d),
+            id,
+            spec: spec.clone(),
+            resume_from,
+            recovery: true,
+        }),
+        traced: false,
     };
-    let shared = Arc::new((program, cfg));
-    let kind = spec.manager;
-    let policy = RetryPolicy::new(1, 50);
-    let retry_seed = spec.seed.unwrap_or(crate::protocol::DEFAULT_FAULT_SEED);
-    let stream = powerchop_resilience::retry::stream_label(&spec.bench);
-    let mut attempt = 0u32;
-    let handle = loop {
-        if state.draining() {
-            return ResumeOutcome::Abandoned;
-        }
-        let job_plan = Some(plan.clone());
-        let shared_job = Arc::clone(&shared);
-        let admitted = Instant::now();
-        match state.pool.submit(move || {
-            let queue_ns = ns_since(admitted);
-            let compute_started = Instant::now();
-            run_with_deadline_plan(
-                &shared_job.0,
-                kind,
-                &shared_job.1,
-                deadline_ms,
-                job_plan.as_ref(),
-                false,
-            )
-            .map(|(report, trace_events)| RunDone {
-                report,
-                queue_ns,
-                compute_ns: ns_since(compute_started),
-                trace_events,
-            })
-        }) {
-            Ok(handle) => break handle,
-            Err(SubmitError::Busy { .. }) => {
-                attempt = attempt.saturating_add(1);
-                state.count("serve_retries_total");
-                std::thread::sleep(Duration::from_millis(
-                    policy.delay_ms(retry_seed, stream, attempt),
-                ));
-            }
-            Err(_) => return ResumeOutcome::Abandoned,
-        }
+    let Ok(handle) = submit_patiently(state, spec, &job, true) else {
+        return ResumeOutcome::Abandoned;
     };
     // A failed resume (sim error, deadline under the server cap) is
     // logged by settle's counters; the intent still retires — the run
     // was re-attempted, which is all the journal promises.
-    let _ = settle(state, key, deadline_ms, handle, None);
+    let _ = settle(state, key, deadline_ms, handle.wait(), None);
     ResumeOutcome::Resumed
 }
 
@@ -2461,12 +2404,13 @@ mod tests {
         let mut cfg = RunConfig::for_kind(b.core_kind());
         cfg.max_instructions = 50_000;
         let program = b.program(Scale(0.05));
-        match run_with_deadline_plan(&program, ManagerKind::PowerChop, &cfg, 0, None, false) {
+        let now = Instant::now();
+        match run_until(&program, ManagerKind::PowerChop, &cfg, now, None, false) {
             Err(RunFail::Deadline) => {}
             _ => panic!("zero deadline must trip before any work"),
         }
-        let report =
-            run_with_deadline_plan(&program, ManagerKind::PowerChop, &cfg, 60_000, None, false);
+        let later = now + Duration::from_secs(60);
+        let report = run_until(&program, ManagerKind::PowerChop, &cfg, later, None, false);
         assert!(matches!(report, Ok((r, _)) if r.instructions > 0));
     }
 
@@ -2476,14 +2420,13 @@ mod tests {
         let mut cfg = RunConfig::for_kind(b.core_kind());
         cfg.max_instructions = 50_000;
         let program = b.program(Scale(0.05));
-        let plain =
-            run_with_deadline_plan(&program, ManagerKind::PowerChop, &cfg, 60_000, None, false)
-                .map(|(r, _)| report_to_json(&r))
-                .ok();
-        let traced =
-            run_with_deadline_plan(&program, ManagerKind::PowerChop, &cfg, 60_000, None, true)
-                .map(|(r, _)| report_to_json(&r))
-                .ok();
+        let later = Instant::now() + Duration::from_secs(60);
+        let plain = run_until(&program, ManagerKind::PowerChop, &cfg, later, None, false)
+            .map(|(r, _)| report_to_json(&r))
+            .ok();
+        let traced = run_until(&program, ManagerKind::PowerChop, &cfg, later, None, true)
+            .map(|(r, _)| report_to_json(&r))
+            .ok();
         assert!(plain.is_some(), "untraced run completes");
         assert_eq!(
             plain, traced,

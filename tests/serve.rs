@@ -329,6 +329,49 @@ fn deadline_expired_runs_reply_408_and_the_daemon_survives() {
 }
 
 #[test]
+fn queue_wait_counts_against_the_deadline() {
+    let daemon = start(ServerConfig {
+        jobs: Some(1),
+        ..test_config()
+    });
+    // Minutes of simulation occupy the only worker for its 2 s deadline.
+    let mut long = daemon.connect();
+    writeln!(
+        long.writer,
+        r#"{{"op":"run","bench":"gobmk","budget":1000000000,"scale":100,"deadline_ms":2000}}"#
+    )
+    .expect("long run writes");
+    long.writer.flush().expect("long run flushes");
+    let mut prober = daemon.connect();
+    let picked_up = Instant::now() + Duration::from_secs(60);
+    while !prober
+        .request(r#"{"op":"status"}"#)
+        .contains("\"inflight\":1,")
+    {
+        assert!(Instant::now() < picked_up, "the long run never started");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    // A short run whose compute alone fits its 500 ms deadline easily,
+    // but which waits behind the long run for longer than that.
+    let short = prober.request(&format!(
+        r#"{{"op":"run","bench":"hmmer","budget":{BUDGET},"scale":{SCALE},"deadline_ms":500}}"#
+    ));
+    assert!(short.contains("\"code\":408"), "reply: {short}");
+    assert!(short.contains("\"error\":\"deadline\""), "reply: {short}");
+    let long_reply = long.read_reply();
+    assert!(long_reply.contains("\"code\":408"), "reply: {long_reply}");
+
+    // Given the worker to itself, the same run completes.
+    let ok = prober.request(&run_line("hmmer"));
+    assert!(ok.contains("\"ok\":true"), "reply: {ok}");
+
+    drop(long);
+    drop(prober);
+    daemon.shutdown();
+}
+
+#[test]
 fn malformed_requests_get_typed_errors_and_never_kill_the_daemon() {
     let daemon = start(ServerConfig {
         max_request_bytes: 4096,
