@@ -178,12 +178,6 @@ impl JitEngine {
         backend::SUPPORTED
     }
 
-    /// The configured mode.
-    #[must_use]
-    pub fn mode(&self) -> JitMode {
-        self.mode
-    }
-
     /// The cumulative counters.
     #[must_use]
     pub fn stats(&self) -> JitStats {

@@ -175,12 +175,6 @@ impl<'p> Machine<'p> {
         self.jit = JitEngine::new(mode);
     }
 
-    /// The configured JIT mode.
-    #[must_use]
-    pub fn jit_mode(&self) -> JitMode {
-        self.jit.mode()
-    }
-
     /// Cumulative JIT counters.
     #[must_use]
     pub fn jit_stats(&self) -> JitStats {

@@ -2,7 +2,9 @@
 
 use powerchop::managers::{DrowsyMlcManager, TimeoutVpuManager};
 use powerchop::ManagerKind;
+use powerchop_serve::ServerConfig;
 
+use crate::supervisor::Supervision;
 use crate::CliError;
 
 /// Which power manager a run should use.
@@ -224,8 +226,11 @@ pub enum Command {
     /// `serve` — long-lived TCP daemon speaking newline-delimited JSON
     /// requests, with a Prometheus `/metrics` endpoint.
     Serve {
-        /// Daemon tuning.
-        opts: ServeOpts,
+        /// Daemon configuration.
+        cfg: ServerConfig,
+        /// `--supervised`: respawn the daemon as a child after crashes
+        /// (`None` serves in this process).
+        supervise: Option<Supervision>,
     },
     /// `soak` — boot an in-process daemon and drive a seeded storm of
     /// hostile and honest clients against it, then report whether it
@@ -259,96 +264,10 @@ pub struct TopOpts {
 impl Default for TopOpts {
     fn default() -> Self {
         TopOpts {
-            addr: "127.0.0.1:7077".into(),
+            // Poll where a default `serve` listens.
+            addr: ServerConfig::default().addr,
             interval_ms: 1_000,
             frames: 0,
-        }
-    }
-}
-
-/// `serve` daemon tuning knobs (mirrors `powerchop_serve::ServerConfig`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServeOpts {
-    /// Address to listen on (`host:port`; port 0 picks an ephemeral one).
-    pub addr: String,
-    /// Simulation worker threads (`None` resolves through
-    /// `POWERCHOP_JOBS` and then the machine's available parallelism).
-    pub jobs: Option<usize>,
-    /// Waiting jobs admitted before `submit` sheds load with a busy
-    /// reply.
-    pub queue_depth: usize,
-    /// Result-cache capacity in entries (0 disables the cache).
-    pub cache_entries: usize,
-    /// Per-request wall-clock deadline cap in milliseconds (0 expires
-    /// every run before its first step chunk).
-    pub deadline_ms: u64,
-    /// Largest accepted request line in bytes.
-    pub max_request_bytes: usize,
-    /// Largest accepted per-run instruction budget.
-    pub max_budget: u64,
-    /// Concurrent connections admitted before the listener sheds new
-    /// sockets with an `overloaded` reply.
-    pub max_connections: usize,
-    /// Per-socket read timeout in milliseconds (0 disables it).
-    pub read_timeout_ms: u64,
-    /// Per-socket write timeout in milliseconds (0 disables it).
-    pub write_timeout_ms: u64,
-    /// Per-connection cap on unflushed reply bytes before a slow
-    /// consumer is disconnected with a typed 408.
-    pub max_outbox_bytes: usize,
-    /// Allow fault-injection ops (`"chaos"` on run requests).
-    pub chaos_ops: bool,
-    /// Write-ahead journal + checkpoint-spill directory (`None`
-    /// disables crash consistency).
-    pub journal_dir: Option<String>,
-    /// Persistent result-cache directory (`None` keeps the cache
-    /// memory-only).
-    pub cache_dir: Option<String>,
-    /// Instructions between checkpoint spills of in-flight runs.
-    pub spill_every: u64,
-    /// Run under the self-healing supervisor: the daemon is respawned
-    /// after crashes at a bounded rate (requires `--journal-dir` to be
-    /// useful, but works without it).
-    pub supervised: bool,
-    /// Supervisor give-up threshold: crashes tolerated inside the
-    /// restart window before the supervisor latches a storm verdict.
-    pub max_restarts: u32,
-    /// Supervisor restart-rate window in milliseconds.
-    pub restart_window_ms: u64,
-    /// Structured JSONL access-log path (`None` disables the log).
-    pub access_log: Option<String>,
-    /// End-to-end latency threshold promoting a request to a detailed
-    /// access-log record (`None` never promotes).
-    pub slow_ms: Option<u64>,
-    /// Trace-id seed (`None` uses per-process OS entropy; fixing it
-    /// makes the trace-id sequence deterministic).
-    pub seed: Option<u64>,
-}
-
-impl Default for ServeOpts {
-    fn default() -> Self {
-        ServeOpts {
-            addr: "127.0.0.1:7077".into(),
-            jobs: None,
-            queue_depth: 16,
-            cache_entries: 64,
-            deadline_ms: 120_000,
-            max_request_bytes: 1 << 20,
-            max_budget: 1_000_000_000,
-            max_connections: 64,
-            read_timeout_ms: 30_000,
-            write_timeout_ms: 10_000,
-            max_outbox_bytes: 1 << 20,
-            chaos_ops: false,
-            journal_dir: None,
-            cache_dir: None,
-            spill_every: 2_000_000,
-            supervised: false,
-            max_restarts: 10,
-            restart_window_ms: 10_000,
-            access_log: None,
-            slow_ms: None,
-            seed: None,
         }
     }
 }
@@ -498,7 +417,8 @@ OPTIONS (serve):
                            then the number of CPUs]
     --queue-depth <N>      waiting jobs before busy replies    [default: 16]
     --cache-entries <N>    LRU result-cache size (0 disables)  [default: 64]
-    --deadline-ms <N>      per-request deadline (0 disables)   [default: 120000]
+    --deadline-ms <N>      per-request deadline; 0 expires every run
+                           [default: 120000]
     --max-request-bytes <N> largest accepted request line      [default: 1048576]
     --max-budget <N>       largest accepted instruction budget [default: 1000000000]
     --max-connections <N>  concurrent connections before typed 503 shedding
@@ -551,21 +471,40 @@ OPTIONS (soak):
                            and bit-identical reports            [default: 0 (off)]
 ";
 
-/// Parses the shared run flags, handing unrecognized flags to `extra`
-/// (which returns whether it consumed the flag).
-fn parse_flags(
-    rest: &[String],
-    mut extra: impl FnMut(&str, &mut dyn FnMut() -> Result<String, CliError>) -> Result<bool, CliError>,
-) -> Result<RunOpts, CliError> {
-    let mut opts = RunOpts::default();
-    let mut it = rest.iter();
+/// The closure a flag handler calls to take its flag's value.
+type FlagValue<'a> = dyn FnMut() -> Result<String, CliError> + 'a;
+
+/// Walks `flags`, handing each one to `on_flag` together with a
+/// closure that takes its value; `on_flag` returns whether it knew the
+/// flag. Every command's flags go through here, so a missing value and
+/// an unknown option are reported the same way everywhere.
+fn walk_flags(
+    flags: &[String],
+    mut on_flag: impl FnMut(&str, &mut FlagValue<'_>) -> Result<bool, CliError>,
+) -> Result<(), CliError> {
+    let mut it = flags.iter();
     while let Some(flag) = it.next() {
         let mut value = || {
             it.next()
                 .cloned()
                 .ok_or_else(|| CliError(format!("{flag} requires a value")))
         };
-        match flag.as_str() {
+        if !on_flag(flag, &mut value)? {
+            return Err(CliError(format!("unknown option `{flag}`\n\n{USAGE}")));
+        }
+    }
+    Ok(())
+}
+
+/// Parses the shared run flags, handing unrecognized flags to `extra`
+/// (which returns whether it consumed the flag).
+fn parse_flags(
+    rest: &[String],
+    mut extra: impl FnMut(&str, &mut FlagValue<'_>) -> Result<bool, CliError>,
+) -> Result<RunOpts, CliError> {
+    let mut opts = RunOpts::default();
+    walk_flags(rest, |flag, value| {
+        match flag {
             "--manager" => opts.manager = ManagerArg::parse(&value()?)?,
             "--budget" => opts.budget = parse_positive(flag, &value()?)?,
             "--scale" => opts.scale = parse_scale(flag, &value()?)?,
@@ -581,26 +520,43 @@ fn parse_flags(
                         CliError(format!("--jit expects on|off|auto, got `{v}`"))
                     })?);
             }
-            "--jobs" => {
-                let n: usize = parse_int(flag, &value()?)?;
-                opts.jobs = Some(if n == 0 {
-                    // An empty pool can run nothing; clamp rather than
-                    // error so scripted `--jobs $(nproc --ignore=...)`
-                    // invocations degrade gracefully.
-                    eprintln!("warning: --jobs 0 would make an empty pool; clamping to 1 worker");
-                    1
-                } else {
-                    n
-                });
-            }
-            other => {
-                if !extra(other, &mut value)? {
-                    return Err(CliError(format!("unknown option `{other}`\n\n{USAGE}")));
-                }
-            }
+            "--jobs" => opts.jobs = Some(parse_jobs(flag, &value()?)?),
+            other => return extra(other, value),
         }
-    }
+        Ok(true)
+    })?;
     Ok(opts)
+}
+
+/// Applies one `serve` daemon flag to `cfg`; returns whether it knew
+/// the flag.
+fn serve_flag(
+    cfg: &mut ServerConfig,
+    flag: &str,
+    value: &mut FlagValue<'_>,
+) -> Result<bool, CliError> {
+    match flag {
+        "--addr" => cfg.addr = value()?,
+        "--jobs" => cfg.jobs = Some(parse_jobs(flag, &value()?)?),
+        "--queue-depth" => cfg.queue_depth = parse_positive(flag, &value()?)?,
+        "--cache-entries" => cfg.cache_entries = parse_int(flag, &value()?)?,
+        "--deadline-ms" => cfg.deadline_ms = parse_int(flag, &value()?)?,
+        "--max-request-bytes" => cfg.max_request_bytes = parse_positive(flag, &value()?)?,
+        "--max-budget" => cfg.max_budget = parse_positive(flag, &value()?)?,
+        "--max-connections" => cfg.max_connections = parse_positive(flag, &value()?)?,
+        "--read-timeout-ms" => cfg.read_timeout_ms = parse_int(flag, &value()?)?,
+        "--write-timeout-ms" => cfg.write_timeout_ms = parse_int(flag, &value()?)?,
+        "--max-outbox-bytes" => cfg.max_outbox_bytes = parse_positive(flag, &value()?)?,
+        "--chaos-ops" => cfg.chaos_ops = true,
+        "--journal-dir" => cfg.journal_dir = Some(value()?),
+        "--cache-dir" => cfg.cache_dir = Some(value()?),
+        "--spill-every" => cfg.spill_every = parse_positive(flag, &value()?)?,
+        "--access-log" => cfg.access_log = Some(value()?),
+        "--slow-ms" => cfg.slow_ms = Some(parse_int(flag, &value()?)?),
+        "--seed" => cfg.seed = Some(parse_int(flag, &value()?)?),
+        _ => return Ok(false),
+    }
+    Ok(true)
 }
 
 fn parse_opts(rest: &[String]) -> Result<RunOpts, CliError> {
@@ -683,6 +639,18 @@ fn parse_scale(flag: &str, raw: &str) -> Result<f64, CliError> {
         )));
     }
     Ok(v)
+}
+
+/// Parses a worker-count flag. `0` clamps to one worker with a warning
+/// rather than erroring, so scripted `--jobs $(nproc --ignore=...)`
+/// invocations degrade gracefully instead of building an empty pool.
+fn parse_jobs(flag: &str, raw: &str) -> Result<usize, CliError> {
+    let n: usize = parse_int(flag, raw)?;
+    if n == 0 {
+        eprintln!("warning: {flag} 0 would make an empty pool; clamping to 1 worker");
+        return Ok(1);
+    }
+    Ok(n)
 }
 
 /// Parses `argv` (without the program name) into a [`Command`].
@@ -775,12 +743,10 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
         "resume" => {
             let path = operand()?;
             let mut json = false;
-            for flag in &argv[2..] {
-                match flag.as_str() {
-                    "--json" => json = true,
-                    other => return Err(CliError(format!("unknown option `{other}`\n\n{USAGE}"))),
-                }
-            }
+            walk_flags(&argv[2..], |flag, _| {
+                json |= flag == "--json";
+                Ok(flag == "--json")
+            })?;
             Ok(Command::Resume { path, json })
         }
         "supervise" => {
@@ -821,85 +787,56 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
             Ok(Command::Supervise { benches, opts, sup })
         }
         "serve" => {
-            let mut opts = ServeOpts::default();
-            let mut it = argv[1..].iter();
-            while let Some(flag) = it.next() {
-                let mut value = || {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| CliError(format!("{flag} requires a value")))
-                };
-                match flag.as_str() {
-                    "--addr" => opts.addr = value()?,
-                    "--jobs" => {
-                        let n: usize = parse_int(flag, &value()?)?;
-                        opts.jobs = Some(if n == 0 {
-                            eprintln!(
-                                "warning: --jobs 0 would make an empty pool; clamping to 1 worker"
-                            );
-                            1
-                        } else {
-                            n
+            let mut cfg = ServerConfig::default();
+            let mut supervised = false;
+            let mut max_restarts: u32 = 10;
+            let mut restart_window_ms: u64 = 10_000;
+            // A supervised child serves with the parent's own argv minus
+            // the supervision flags, so every daemon flag reaches it
+            // exactly as the user spelled it.
+            let mut child_argv = vec![command.clone()];
+            walk_flags(&argv[1..], |flag, value| {
+                match flag {
+                    "--supervised" => supervised = true,
+                    "--max-restarts" => max_restarts = parse_positive(flag, &value()?)?,
+                    "--restart-window-ms" => {
+                        restart_window_ms = parse_positive(flag, &value()?)?;
+                    }
+                    _ => {
+                        child_argv.push(flag.to_owned());
+                        return serve_flag(&mut cfg, flag, &mut || {
+                            let v = value()?;
+                            child_argv.push(v.clone());
+                            Ok(v)
                         });
                     }
-                    "--queue-depth" => opts.queue_depth = parse_positive(flag, &value()?)?,
-                    "--cache-entries" => opts.cache_entries = parse_int(flag, &value()?)?,
-                    "--deadline-ms" => opts.deadline_ms = parse_int(flag, &value()?)?,
-                    "--max-request-bytes" => {
-                        opts.max_request_bytes = parse_positive(flag, &value()?)?;
-                    }
-                    "--max-budget" => opts.max_budget = parse_positive(flag, &value()?)?,
-                    "--max-connections" => opts.max_connections = parse_positive(flag, &value()?)?,
-                    "--read-timeout-ms" => opts.read_timeout_ms = parse_int(flag, &value()?)?,
-                    "--write-timeout-ms" => opts.write_timeout_ms = parse_int(flag, &value()?)?,
-                    "--max-outbox-bytes" => {
-                        opts.max_outbox_bytes = parse_positive(flag, &value()?)?;
-                    }
-                    "--chaos-ops" => opts.chaos_ops = true,
-                    "--journal-dir" => opts.journal_dir = Some(value()?),
-                    "--cache-dir" => opts.cache_dir = Some(value()?),
-                    "--spill-every" => opts.spill_every = parse_positive(flag, &value()?)?,
-                    "--supervised" => opts.supervised = true,
-                    "--max-restarts" => opts.max_restarts = parse_positive(flag, &value()?)?,
-                    "--restart-window-ms" => {
-                        opts.restart_window_ms = parse_positive(flag, &value()?)?;
-                    }
-                    "--access-log" => opts.access_log = Some(value()?),
-                    "--slow-ms" => opts.slow_ms = Some(parse_int(flag, &value()?)?),
-                    "--seed" => opts.seed = Some(parse_int(flag, &value()?)?),
-                    other => return Err(CliError(format!("unknown option `{other}`\n\n{USAGE}"))),
                 }
-            }
-            Ok(Command::Serve { opts })
+                Ok(true)
+            })?;
+            let supervise = supervised.then_some(Supervision {
+                max_restarts,
+                restart_window_ms,
+                child_argv,
+            });
+            Ok(Command::Serve { cfg, supervise })
         }
         "top" => {
             let mut opts = TopOpts::default();
-            let mut it = argv[1..].iter();
-            while let Some(flag) = it.next() {
-                let mut value = || {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| CliError(format!("{flag} requires a value")))
-                };
-                match flag.as_str() {
+            walk_flags(&argv[1..], |flag, value| {
+                match flag {
                     "--addr" => opts.addr = value()?,
                     "--interval-ms" => opts.interval_ms = parse_positive(flag, &value()?)?,
                     "--frames" => opts.frames = parse_int(flag, &value()?)?,
-                    other => return Err(CliError(format!("unknown option `{other}`\n\n{USAGE}"))),
+                    _ => return Ok(false),
                 }
-            }
+                Ok(true)
+            })?;
             Ok(Command::Top { opts })
         }
         "soak" => {
             let mut opts = SoakOpts::default();
-            let mut it = argv[1..].iter();
-            while let Some(flag) = it.next() {
-                let mut value = || {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| CliError(format!("{flag} requires a value")))
-                };
-                match flag.as_str() {
+            walk_flags(&argv[1..], |flag, value| {
+                match flag {
                     "--seed" => opts.seed = parse_int(flag, &value()?)?,
                     "--hostile" => opts.hostile = parse_int(flag, &value()?)?,
                     "--honest" => opts.honest = parse_int(flag, &value()?)?,
@@ -909,9 +846,10 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
                     "--scale" => opts.scale = parse_scale(flag, &value()?)?,
                     "--jobs" => opts.jobs = Some(parse_positive(flag, &value()?)?),
                     "--crash-cycles" => opts.crash_cycles = parse_int(flag, &value()?)?,
-                    other => return Err(CliError(format!("unknown option `{other}`\n\n{USAGE}"))),
+                    _ => return Ok(false),
                 }
-            }
+                Ok(true)
+            })?;
             Ok(Command::Soak { opts })
         }
         other => Err(CliError(format!("unknown command `{other}`\n\n{USAGE}"))),
@@ -1171,7 +1109,8 @@ mod tests {
         assert_eq!(
             parse(&argv("serve")).unwrap(),
             Command::Serve {
-                opts: ServeOpts::default()
+                cfg: ServerConfig::default(),
+                supervise: None
             }
         );
         match parse(&argv(
@@ -1182,7 +1121,7 @@ mod tests {
         ))
         .unwrap()
         {
-            Command::Serve { opts } => {
+            Command::Serve { cfg: opts, .. } => {
                 assert_eq!(opts.addr, "127.0.0.1:0");
                 assert_eq!(opts.jobs, Some(2));
                 assert_eq!(opts.queue_depth, 3);
@@ -1198,8 +1137,8 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert!(!ServeOpts::default().chaos_ops, "chaos ops are opt-in");
-        assert_eq!(ServeOpts::default().max_outbox_bytes, 1 << 20);
+        assert!(!ServerConfig::default().chaos_ops, "chaos ops are opt-in");
+        assert_eq!(ServerConfig::default().max_outbox_bytes, 1 << 20);
         assert!(parse(&argv("serve --queue-depth 0")).is_err());
         assert!(parse(&argv("serve --max-connections 0")).is_err());
         // A zero outbox cap would shed every pipelined client instantly.
@@ -1212,20 +1151,30 @@ mod tests {
         ))
         .unwrap()
         {
-            Command::Serve { opts } => {
+            Command::Serve {
+                cfg: opts,
+                supervise,
+            } => {
                 assert_eq!(opts.journal_dir.as_deref(), Some("wal"));
                 assert_eq!(opts.cache_dir.as_deref(), Some("cache"));
                 assert_eq!(opts.spill_every, 50_000);
-                assert!(opts.supervised);
-                assert_eq!(opts.max_restarts, 3);
-                assert_eq!(opts.restart_window_ms, 5_000);
+                assert!(supervise.is_some());
+                let sup = supervise.expect("--supervised");
+                assert_eq!(sup.max_restarts, 3);
+                assert_eq!(sup.restart_window_ms, 5_000);
             }
             other => panic!("unexpected {other:?}"),
         }
-        let d = ServeOpts::default();
+        let d = ServerConfig::default();
         assert_eq!(d.journal_dir, None, "durability is opt-in");
         assert_eq!(d.cache_dir, None);
-        assert!(!d.supervised);
+        assert!(matches!(
+            parse(&argv("serve")).unwrap(),
+            Command::Serve {
+                supervise: None,
+                ..
+            }
+        ));
         // A zero spill interval would spill every chunk forever; a zero
         // restart budget could never respawn.
         assert!(parse(&argv("serve --spill-every 0")).is_err());
@@ -1250,14 +1199,14 @@ mod tests {
         ))
         .unwrap()
         {
-            Command::Serve { opts } => {
+            Command::Serve { cfg: opts, .. } => {
                 assert_eq!(opts.access_log.as_deref(), Some("access.jsonl"));
                 assert_eq!(opts.slow_ms, Some(250));
                 assert_eq!(opts.seed, Some(42));
             }
             other => panic!("unexpected {other:?}"),
         }
-        let d = ServeOpts::default();
+        let d = ServerConfig::default();
         assert_eq!(d.access_log, None, "the access log is opt-in");
         assert_eq!(d.slow_ms, None);
         assert_eq!(d.seed, None, "trace ids default to entropy");

@@ -48,7 +48,7 @@ pub fn dispatch(command: Command) -> Result<(), CliError> {
         Command::Supervise { benches, opts, sup } => {
             crate::supervise::supervise(&benches, opts, &sup)
         }
-        Command::Serve { opts } => serve_cmd(&opts),
+        Command::Serve { cfg, supervise } => serve_cmd(&cfg, supervise.as_ref()),
         Command::Soak { opts } => crate::soak::soak_cmd(&opts),
         Command::Top { opts } => crate::top::top_cmd(&opts),
     }
@@ -78,40 +78,23 @@ fn validate_writable_dir(flag: &str, raw: &str) -> Result<(), CliError> {
 /// and block until an in-protocol shutdown drains it. With
 /// `--supervised` this process instead becomes the self-healing parent
 /// and the daemon runs as a respawnable child.
-fn serve_cmd(opts: &crate::args::ServeOpts) -> Result<(), CliError> {
+fn serve_cmd(
+    cfg: &powerchop_serve::ServerConfig,
+    supervise: Option<&crate::supervisor::Supervision>,
+) -> Result<(), CliError> {
     // Both modes validate the durability directories up front; the
     // supervisor additionally needs them validated *before* the first
     // child is forked, not on its own crash path.
-    if let Some(dir) = &opts.journal_dir {
+    if let Some(dir) = &cfg.journal_dir {
         validate_writable_dir("--journal-dir", dir)?;
     }
-    if let Some(dir) = &opts.cache_dir {
+    if let Some(dir) = &cfg.cache_dir {
         validate_writable_dir("--cache-dir", dir)?;
     }
-    if opts.supervised {
-        return crate::supervisor::serve_supervised(opts);
+    if let Some(sup) = supervise {
+        return crate::supervisor::serve_supervised(&cfg.addr, sup);
     }
-    let cfg = powerchop_serve::ServerConfig {
-        addr: opts.addr.clone(),
-        jobs: opts.jobs,
-        queue_depth: opts.queue_depth,
-        cache_entries: opts.cache_entries,
-        deadline_ms: opts.deadline_ms,
-        max_request_bytes: opts.max_request_bytes,
-        max_budget: opts.max_budget,
-        max_connections: opts.max_connections,
-        read_timeout_ms: opts.read_timeout_ms,
-        write_timeout_ms: opts.write_timeout_ms,
-        max_outbox_bytes: opts.max_outbox_bytes,
-        chaos_ops: opts.chaos_ops,
-        journal_dir: opts.journal_dir.clone(),
-        cache_dir: opts.cache_dir.clone(),
-        spill_every: opts.spill_every,
-        access_log: opts.access_log.clone(),
-        slow_ms: opts.slow_ms,
-        seed: opts.seed,
-    };
-    let server = powerchop_serve::Server::bind(&cfg)?;
+    let server = powerchop_serve::Server::bind(cfg)?;
     println!("powerchop-serve listening on {}", server.local_addr());
     std::io::Write::flush(&mut std::io::stdout())?;
     server.run()?;

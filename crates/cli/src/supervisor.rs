@@ -13,15 +13,29 @@
 //! The loop itself is pure control flow over two injected closures
 //! (spawn a child, read a clock), so the storm/give-up policy is unit
 //! tested without ever forking a process; the production entry point
-//! re-invokes the current executable with the same `serve` flags minus
-//! the supervision ones.
+//! re-invokes the current executable with the parent's own `serve`
+//! argv minus the supervision flags, as recorded by the argument
+//! parser ([`Supervision::child_argv`]).
 
 use std::time::Instant;
 
 use powerchop_resilience::{RestartPolicy, RestartTracker, RestartVerdict, RetryPolicy};
 
-use crate::args::ServeOpts;
 use crate::CliError;
+
+/// How `serve --supervised` respawns its daemon.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Supervision {
+    /// Crashes tolerated inside the restart window before the
+    /// supervisor latches a storm verdict (`--max-restarts`).
+    pub max_restarts: u32,
+    /// Restart-rate window in milliseconds (`--restart-window-ms`).
+    pub restart_window_ms: u64,
+    /// Every child generation's argv: the parent's `serve` argv with
+    /// `--supervised`, `--max-restarts N` and `--restart-window-ms N`
+    /// removed (the child must serve, not supervise).
+    pub child_argv: Vec<String>,
+}
 
 /// How one supervised child generation ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,65 +109,6 @@ pub fn supervise_loop(
     }
 }
 
-/// Rebuilds the child's `serve` argv from the parsed options, minus the
-/// supervision flags (the child must serve, not supervise) and with
-/// every durability/hardening flag spelled back out.
-pub fn child_argv(opts: &ServeOpts) -> Vec<String> {
-    let mut argv = vec![
-        "serve".to_owned(),
-        "--addr".to_owned(),
-        opts.addr.clone(),
-        "--queue-depth".to_owned(),
-        opts.queue_depth.to_string(),
-        "--cache-entries".to_owned(),
-        opts.cache_entries.to_string(),
-        "--deadline-ms".to_owned(),
-        opts.deadline_ms.to_string(),
-        "--max-request-bytes".to_owned(),
-        opts.max_request_bytes.to_string(),
-        "--max-budget".to_owned(),
-        opts.max_budget.to_string(),
-        "--max-connections".to_owned(),
-        opts.max_connections.to_string(),
-        "--read-timeout-ms".to_owned(),
-        opts.read_timeout_ms.to_string(),
-        "--write-timeout-ms".to_owned(),
-        opts.write_timeout_ms.to_string(),
-        "--max-outbox-bytes".to_owned(),
-        opts.max_outbox_bytes.to_string(),
-        "--spill-every".to_owned(),
-        opts.spill_every.to_string(),
-    ];
-    if let Some(jobs) = opts.jobs {
-        argv.push("--jobs".to_owned());
-        argv.push(jobs.to_string());
-    }
-    if let Some(dir) = &opts.journal_dir {
-        argv.push("--journal-dir".to_owned());
-        argv.push(dir.clone());
-    }
-    if let Some(dir) = &opts.cache_dir {
-        argv.push("--cache-dir".to_owned());
-        argv.push(dir.clone());
-    }
-    if opts.chaos_ops {
-        argv.push("--chaos-ops".to_owned());
-    }
-    if let Some(path) = &opts.access_log {
-        argv.push("--access-log".to_owned());
-        argv.push(path.clone());
-    }
-    if let Some(ms) = opts.slow_ms {
-        argv.push("--slow-ms".to_owned());
-        argv.push(ms.to_string());
-    }
-    if let Some(seed) = opts.seed {
-        argv.push("--seed".to_owned());
-        argv.push(seed.to_string());
-    }
-    argv
-}
-
 /// The production `serve --supervised` entry point: respawn the real
 /// daemon (this very executable, re-invoked) until it drains cleanly or
 /// the crash-rate policy gives up.
@@ -162,22 +117,21 @@ pub fn child_argv(opts: &ServeOpts) -> Vec<String> {
 ///
 /// Fails when the executable cannot be re-invoked or when supervision
 /// ends in a latched give-up.
-pub fn serve_supervised(opts: &ServeOpts) -> Result<(), CliError> {
+pub fn serve_supervised(addr: &str, sup: &Supervision) -> Result<(), CliError> {
     let exe = std::env::current_exe()
         .map_err(|e| CliError(format!("--supervised: cannot locate own executable: {e}")))?;
-    let argv = child_argv(opts);
-    let policy = RestartPolicy::new(opts.restart_window_ms, opts.max_restarts);
+    let policy = RestartPolicy::new(sup.restart_window_ms, sup.max_restarts);
     // Seeded-jitter backoff between respawns: enough to let a transient
     // cause (port teardown, filesystem pressure) clear, deterministic
     // for a given address.
     let retry = RetryPolicy::new(50, 2_000);
-    let stream = powerchop_resilience::retry::stream_label(&opts.addr);
+    let stream = powerchop_resilience::retry::stream_label(addr);
     let epoch = Instant::now();
     let verdict = supervise_loop(
         policy,
         || {
             let status = std::process::Command::new(&exe)
-                .args(&argv)
+                .args(&sup.child_argv)
                 .status()
                 .map_err(|e| CliError(format!("--supervised: cannot spawn daemon: {e}")))?;
             if status.success() {
@@ -202,7 +156,7 @@ pub fn serve_supervised(opts: &ServeOpts) -> Result<(), CliError> {
         }
         SupervisorVerdict::GaveUp { crashes } => Err(CliError(format!(
             "--supervised: daemon crashed {crashes} time(s), exceeding {} per {}ms; giving up",
-            opts.max_restarts, opts.restart_window_ms
+            sup.max_restarts, sup.restart_window_ms
         ))),
     }
 }
@@ -210,7 +164,8 @@ pub fn serve_supervised(opts: &ServeOpts) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::args::ServeOpts;
+    use crate::args::{parse, Command};
+    use powerchop_serve::ServerConfig;
 
     fn policy() -> RestartPolicy {
         RestartPolicy::new(1_000, 2)
@@ -295,43 +250,84 @@ mod tests {
 
     #[test]
     fn child_argv_strips_supervision_and_keeps_durability() {
-        let opts = ServeOpts {
-            addr: "127.0.0.1:0".into(),
-            jobs: Some(2),
-            journal_dir: Some("wal".into()),
-            cache_dir: Some("cache".into()),
-            spill_every: 50_000,
-            supervised: true,
-            chaos_ops: true,
-            ..ServeOpts::default()
+        // Every serve flag, each away from its default, with the
+        // supervision flags interleaved among them.
+        let parent: Vec<String> = "serve --supervised --addr 127.0.0.1:0 --jobs 2 \
+             --queue-depth 3 --cache-entries 5 --max-restarts 3 --deadline-ms 9000 \
+             --max-request-bytes 4096 --max-budget 500000 --max-connections 7 \
+             --read-timeout-ms 1500 --write-timeout-ms 900 --max-outbox-bytes 65536 \
+             --chaos-ops --restart-window-ms 5000 --journal-dir wal --cache-dir cache \
+             --spill-every 50000 --access-log access.jsonl --slow-ms 250 --seed 42"
+            .split_whitespace()
+            .map(str::to_owned)
+            .collect();
+        let Command::Serve {
+            cfg,
+            supervise: Some(sup),
+        } = parse(&parent).expect("parent argv parses")
+        else {
+            panic!("--supervised must yield a supervised serve command");
         };
-        let argv = child_argv(&opts);
+        assert_eq!(sup.max_restarts, 3);
+        assert_eq!(sup.restart_window_ms, 5_000);
+        // Destructured without `..` so that a new config field fails to
+        // compile here until this test sets its flag too.
+        let d = ServerConfig::default();
+        let ServerConfig {
+            addr,
+            jobs,
+            queue_depth,
+            cache_entries,
+            deadline_ms,
+            max_request_bytes,
+            max_budget,
+            max_connections,
+            read_timeout_ms,
+            write_timeout_ms,
+            max_outbox_bytes,
+            chaos_ops,
+            journal_dir,
+            cache_dir,
+            spill_every,
+            access_log,
+            slow_ms,
+            seed,
+        } = &cfg;
+        let changed = [
+            *addr != d.addr,
+            *jobs != d.jobs,
+            *queue_depth != d.queue_depth,
+            *cache_entries != d.cache_entries,
+            *deadline_ms != d.deadline_ms,
+            *max_request_bytes != d.max_request_bytes,
+            *max_budget != d.max_budget,
+            *max_connections != d.max_connections,
+            *read_timeout_ms != d.read_timeout_ms,
+            *write_timeout_ms != d.write_timeout_ms,
+            *max_outbox_bytes != d.max_outbox_bytes,
+            *chaos_ops != d.chaos_ops,
+            *journal_dir != d.journal_dir,
+            *cache_dir != d.cache_dir,
+            *spill_every != d.spill_every,
+            *access_log != d.access_log,
+            *slow_ms != d.slow_ms,
+            *seed != d.seed,
+        ];
+        assert!(changed.iter().all(|&c| c), "unset fields: {changed:?}");
+
+        let argv = &sup.child_argv;
         assert_eq!(argv[0], "serve");
-        assert!(!argv.iter().any(|a| a == "--supervised"));
-        assert!(!argv.iter().any(|a| a == "--max-restarts"));
-        assert!(!argv.iter().any(|a| a == "--restart-window-ms"));
-        for (flag, value) in [
-            ("--journal-dir", "wal"),
-            ("--cache-dir", "cache"),
-            ("--spill-every", "50000"),
-            ("--jobs", "2"),
-            ("--addr", "127.0.0.1:0"),
-            ("--max-outbox-bytes", "1048576"),
-        ] {
-            let i = argv
-                .iter()
-                .position(|a| a == flag)
-                .unwrap_or_else(|| panic!("{flag} missing from {argv:?}"));
-            assert_eq!(argv[i + 1], value);
+        for flag in ["--supervised", "--max-restarts", "--restart-window-ms"] {
+            assert!(!argv.iter().any(|a| a == flag), "{flag} in {argv:?}");
         }
-        assert!(argv.iter().any(|a| a == "--chaos-ops"));
-        // The child argv must re-parse to an equivalent unsupervised config.
-        match crate::args::parse(&argv).expect("child argv parses") {
-            crate::args::Command::Serve { opts: reparsed } => {
-                assert!(!reparsed.supervised);
-                assert_eq!(reparsed.journal_dir.as_deref(), Some("wal"));
-                assert_eq!(reparsed.spill_every, 50_000);
-                assert_eq!(reparsed.jobs, Some(2));
+        // The child argv must re-parse to the parent's config, unsupervised.
+        match parse(argv).expect("child argv parses") {
+            Command::Serve {
+                cfg: reparsed,
+                supervise,
+            } => {
+                assert_eq!(reparsed, cfg);
+                assert_eq!(supervise, None);
             }
             other => panic!("unexpected {other:?}"),
         }

@@ -96,11 +96,6 @@ impl Cpu {
         self.int[r.index()]
     }
 
-    /// Writes an integer register.
-    pub fn set_int_reg(&mut self, r: Reg, value: i64) {
-        self.int[r.index()] = value;
-    }
-
     /// Reads a floating-point register.
     #[must_use]
     pub fn fp_reg(&self, f: FReg) -> f64 {

@@ -219,12 +219,6 @@ impl Cde {
         self.stats
     }
 
-    /// Number of phases the CDE has records for (its memory-backed store).
-    #[must_use]
-    pub fn known_phases(&self) -> usize {
-        self.phases.len()
-    }
-
     /// The record for `signature`, if any.
     #[must_use]
     pub fn record(&self, signature: PhaseSignature) -> Option<PhaseRecord> {

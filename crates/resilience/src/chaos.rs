@@ -68,20 +68,6 @@ impl ChaosConfig {
             reset_p: 0.05,
         }
     }
-
-    /// Occasional interference — enough to exercise the recovery paths
-    /// without most connections dying.
-    #[must_use]
-    pub fn mild() -> Self {
-        ChaosConfig {
-            delay_p: 0.25,
-            max_delay_ms: 15,
-            split_p: 0.15,
-            corrupt_p: 0.05,
-            truncate_p: 0.03,
-            reset_p: 0.02,
-        }
-    }
 }
 
 /// What happens to one frame (beyond an optional leading delay).

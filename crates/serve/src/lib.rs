@@ -25,7 +25,8 @@
 //! recovery in its `health` op (see `powerchop-durable`).
 //!
 //! Module map:
-//! - [`json`] — strict RFC 8259 request parsing (reader side).
+//! - [`json`] — strict RFC 8259 request parsing (re-exported from
+//!   `powerchop-telemetry`, which also owns the writer side).
 //! - [`protocol`] — request validation and reply rendering.
 //! - [`cache`] — the sharded LRU result cache.
 //! - `durability` — journal/spill/cache-log glue over `powerchop-durable`.
@@ -45,12 +46,15 @@
 
 pub mod cache;
 mod durability;
-pub mod json;
 pub mod net;
 pub mod protocol;
 mod report;
 pub mod server;
 pub mod wheel;
+
+/// The strict RFC 8259 reader requests are decoded with; it lives in
+/// `powerchop-telemetry` next to the writer replies are built with.
+pub use powerchop_telemetry::json;
 
 pub use protocol::{
     error_reply, fault_config, parse_request, strip_trace_id, ReqError, Request, RunSpec,

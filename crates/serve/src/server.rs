@@ -85,8 +85,10 @@ use crate::protocol::{
 use crate::report::report_to_json;
 use crate::wheel::TimerWheel;
 
-/// Everything that shapes a daemon instance.
-#[derive(Debug, Clone)]
+/// Everything that shapes a daemon instance. The CLI's `serve` flags
+/// parse straight into it, so [`ServerConfig::default`] holds every
+/// serve default.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerConfig {
     /// Address to bind (`host:port`; port 0 picks a free port).
     pub addr: String,
@@ -97,7 +99,8 @@ pub struct ServerConfig {
     pub queue_depth: usize,
     /// LRU result-cache capacity (0 disables caching).
     pub cache_entries: usize,
-    /// Per-run wall-clock deadline cap in milliseconds.
+    /// Per-run wall-clock deadline cap in milliseconds (0 expires every
+    /// run before its first step chunk).
     pub deadline_ms: u64,
     /// Largest accepted request line in bytes.
     pub max_request_bytes: usize,

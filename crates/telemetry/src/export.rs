@@ -1,12 +1,13 @@
-//! Trace exporters: Chrome trace-event JSON, JSONL dumps, and a
-//! dependency-free JSON well-formedness checker used by the round-trip
-//! tests and CI validation.
+//! Trace exporters: Chrome trace-event JSON, JSONL dumps, the
+//! [`JsonWriter`] every JSON reply is built with, and a well-formedness
+//! check over the [`crate::json`] reader used by the round-trip tests.
 //!
 //! All exporters are deterministic: they serialize nothing but the
 //! cycle-stamped events handed to them, in order, with stable field
 //! ordering — identical runs produce byte-identical files.
 
 use crate::event::{Event, Stamped};
+use crate::json::{Json, JsonError};
 
 /// Renders events as a Chrome trace-event JSON object
 /// (`{"traceEvents": [...]}`), loadable in `chrome://tracing` and
@@ -298,266 +299,16 @@ impl JsonWriter {
     }
 }
 
-/// A JSON syntax error from [`validate_json`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonError {
-    /// Byte offset of the error.
-    pub offset: usize,
-    /// What went wrong.
-    pub message: &'static str,
-}
-
-impl std::fmt::Display for JsonError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "invalid JSON at byte {}: {}", self.offset, self.message)
-    }
-}
-
-impl std::error::Error for JsonError {}
-
-/// Checks that `text` is one well-formed JSON value (RFC 8259 syntax;
-/// no semantic validation). This is the "round-trips through a JSON
-/// parser" half of the exporter tests, kept dependency-free.
+/// Checks that `text` is one well-formed JSON value by reading it with
+/// the same strict parser clients use ([`Json::parse`]), so a document
+/// that passes here is one every client can read. This is the
+/// "round-trips through a JSON parser" half of the exporter tests.
 ///
 /// # Errors
 ///
 /// Returns the first [`JsonError`] encountered.
 pub fn validate_json(text: &str) -> Result<(), JsonError> {
-    let b = text.as_bytes();
-    let mut pos = 0;
-    skip_ws(b, &mut pos);
-    parse_value(b, &mut pos)?;
-    skip_ws(b, &mut pos);
-    if pos != b.len() {
-        return Err(JsonError {
-            offset: pos,
-            message: "trailing data after value",
-        });
-    }
-    Ok(())
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<(), JsonError> {
-    match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => parse_string(b, pos),
-        Some(b't') => parse_lit(b, pos, b"true"),
-        Some(b'f') => parse_lit(b, pos, b"false"),
-        Some(b'n') => parse_lit(b, pos, b"null"),
-        Some(c) if *c == b'-' || c.is_ascii_digit() => parse_number(b, pos),
-        // Name the usual float-formatter leaks specifically: `NaN`,
-        // `Infinity`, `inf` and friends are how broken emitters spell
-        // non-finite doubles, and "expected a JSON value" would bury
-        // the actual bug.
-        Some(b'N' | b'I' | b'i') => Err(JsonError {
-            offset: *pos,
-            message: "non-finite number token (NaN/Infinity) is not valid JSON",
-        }),
-        _ => Err(JsonError {
-            offset: *pos,
-            message: "expected a JSON value",
-        }),
-    }
-}
-
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<(), JsonError> {
-    *pos += 1; // '{'
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        parse_string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(JsonError {
-                offset: *pos,
-                message: "expected ':' in object",
-            });
-        }
-        *pos += 1;
-        skip_ws(b, pos);
-        parse_value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => {
-                return Err(JsonError {
-                    offset: *pos,
-                    message: "expected ',' or '}' in object",
-                })
-            }
-        }
-    }
-}
-
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<(), JsonError> {
-    *pos += 1; // '['
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        parse_value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => {
-                return Err(JsonError {
-                    offset: *pos,
-                    message: "expected ',' or ']' in array",
-                })
-            }
-        }
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<(), JsonError> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(JsonError {
-            offset: *pos,
-            message: "expected a string",
-        });
-    }
-    *pos += 1;
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        *pos += 1;
-                        for _ in 0..4 {
-                            if !b.get(*pos).is_some_and(u8::is_ascii_hexdigit) {
-                                return Err(JsonError {
-                                    offset: *pos,
-                                    message: "bad \\u escape",
-                                });
-                            }
-                            *pos += 1;
-                        }
-                    }
-                    _ => {
-                        return Err(JsonError {
-                            offset: *pos,
-                            message: "bad escape",
-                        })
-                    }
-                }
-            }
-            0x00..=0x1F => {
-                return Err(JsonError {
-                    offset: *pos,
-                    message: "unescaped control character",
-                })
-            }
-            _ => *pos += 1,
-        }
-    }
-    Err(JsonError {
-        offset: *pos,
-        message: "unterminated string",
-    })
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<(), JsonError> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'N' | b'n' | b'I' | b'i')) {
-            return Err(JsonError {
-                offset: start,
-                message: "non-finite number token (NaN/Infinity) is not valid JSON",
-            });
-        }
-    }
-    // RFC 8259 integer part: "0", or a nonzero digit followed by more.
-    match b.get(*pos) {
-        Some(b'0') => {
-            *pos += 1;
-            if b.get(*pos).is_some_and(u8::is_ascii_digit) {
-                return Err(JsonError {
-                    offset: start,
-                    message: "leading zero in number",
-                });
-            }
-        }
-        Some(c) if c.is_ascii_digit() => {
-            eat_digits(b, pos);
-        }
-        _ => {
-            return Err(JsonError {
-                offset: start,
-                message: "malformed number",
-            })
-        }
-    }
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        if eat_digits(b, pos) == 0 {
-            return Err(JsonError {
-                offset: *pos,
-                message: "malformed fraction",
-            });
-        }
-    }
-    if matches!(b.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        if eat_digits(b, pos) == 0 {
-            return Err(JsonError {
-                offset: *pos,
-                message: "malformed exponent",
-            });
-        }
-    }
-    Ok(())
-}
-
-fn eat_digits(b: &[u8], pos: &mut usize) -> usize {
-    let start = *pos;
-    while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-        *pos += 1;
-    }
-    *pos - start
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &[u8]) -> Result<(), JsonError> {
-    if b.len() - *pos >= lit.len() && &b[*pos..*pos + lit.len()] == lit {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(JsonError {
-            offset: *pos,
-            message: "bad literal",
-        })
-    }
+    Json::parse(text).map(|_| ())
 }
 
 #[cfg(test)]
@@ -706,6 +457,7 @@ mod tests {
         ] {
             validate_json(good).unwrap_or_else(|e| panic!("{good}: {e}"));
         }
+        let too_deep = format!("{}0{}", "[".repeat(33), "]".repeat(33));
         for bad in [
             "",
             "{",
@@ -717,6 +469,9 @@ mod tests {
             "\"unterminated",
             "{\"a\" 1}",
             "truth",
+            "\"\\ud83d\"",
+            "1e999",
+            too_deep.as_str(),
         ] {
             assert!(validate_json(bad).is_err(), "accepted: {bad}");
         }

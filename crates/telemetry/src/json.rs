@@ -1,9 +1,11 @@
-//! A minimal RFC 8259 JSON value parser for incoming requests.
+//! A minimal RFC 8259 JSON value parser: the reader that pairs with
+//! [`crate::export::JsonWriter`].
 //!
-//! The telemetry crate owns the *writer* side (and a structural
-//! validator); this module is the *reader* side the daemon needs to
-//! decode request lines. It builds a [`Json`] tree from a `&str`,
-//! enforcing the RFC strictly: no trailing garbage, no control
+//! The daemon decodes request lines with it, clients (`top`, the soak
+//! harness, the benchmark) read replies with it, and
+//! [`crate::validate_json`] checks exporter output with it, so there is
+//! one JSON grammar in the workspace. It builds a [`Json`] tree from a
+//! `&str`, enforcing the RFC strictly: no trailing garbage, no control
 //! characters inside strings, no non-finite number tokens (`NaN`,
 //! `Infinity` and friends are not JSON), surrogate pairs decoded, and a
 //! hard nesting depth cap so a hostile request cannot blow the stack.

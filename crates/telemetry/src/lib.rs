@@ -14,6 +14,9 @@
 //! - exporters: Chrome trace-event JSON ([`export::chrome_trace_json`]),
 //!   JSONL ([`export::jsonl`]) and Prometheus text exposition
 //!   ([`MetricsRegistry::to_prometheus_text`]),
+//! - the workspace's one JSON reader ([`json::Json`]): the strict
+//!   RFC 8259 parser the daemon decodes requests with, clients read
+//!   replies with, and [`validate_json`] checks exporter output with,
 //! - a terminal timeline renderer ([`timeline::render`]).
 //!
 //! **Zero-cost when disabled.** The only handle the simulation holds is
@@ -34,6 +37,7 @@
 
 pub mod event;
 pub mod export;
+pub mod json;
 pub mod metrics;
 pub mod ring;
 pub mod span;
@@ -42,7 +46,8 @@ pub mod timeline;
 use std::collections::HashMap;
 
 pub use event::{Event, Stamped, Unit};
-pub use export::{validate_json, JsonError};
+pub use export::validate_json;
+pub use json::JsonError;
 pub use metrics::{Histogram, MetricSource, MetricsRegistry};
 pub use ring::EventRing;
 pub use span::{format_trace_id, trace_id, Phase, SpanLedger, SpanRecorder, PHASE_COUNT};
